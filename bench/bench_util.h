@@ -119,6 +119,15 @@ inline double StdDev(const std::vector<double>& v) {
   return std::sqrt(acc / static_cast<double>(v.size() - 1));
 }
 
+/// Linearly interpolated `q`-quantile (0 <= q <= 1) of a non-empty sample.
+inline double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
 /// Paired t-statistic of (a - b) across datasets.
 inline double PairedTStat(const std::vector<double>& a,
                           const std::vector<double>& b) {

@@ -7,7 +7,9 @@
 // times every simd_kernels entry point at representative shapes, asserts the
 // outputs are bit-identical, and persists the speedups to BENCH_kernels.json
 // (atomic write, beside BENCH_robustness.json) so the kernel perf trajectory
-// is machine-checkable across PRs.
+// is machine-checkable across PRs. A second ledger times forest and boosting
+// fits at the engine benchmark's shapes and persists their median and
+// quartiles to BENCH_forest.json.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +30,8 @@
 #include "core/state.h"
 #include "data/synthetic.h"
 #include "ml/evaluator.h"
+#include "ml/gradient_boosting.h"
+#include "ml/random_forest.h"
 
 namespace fastft {
 namespace {
@@ -194,6 +198,87 @@ Dataset BenchDataset(int samples = 500, int features = 16) {
   return MakeClassification(spec);
 }
 
+// --- Forest-fit ledger ------------------------------------------------------
+
+/// One downstream model fit at a shape the engine benchmark produces.
+struct FitShape {
+  const char* name;
+  int rows;
+  int features;
+  /// Forest trees; 0 fits a GradientBoosting model at its defaults instead.
+  int trees;
+};
+
+// eval_bound: one fold's training split (3/4 of 1000 rows) over the 28-column
+// feature budget, 12 trees. explore: about two thirds of 300 rows over the
+// 32 originals plus 16 generated columns, at the evaluator's default 8 trees.
+constexpr FitShape kFitShapes[] = {
+    {"forest_eval_bound", 750, 28, 12},
+    {"forest_explore", 200, 48, 8},
+    {"boosting_eval_bound", 750, 28, 0},
+};
+
+struct FitInput {
+  Rows x;
+  std::vector<double> y;
+};
+
+FitInput MakeFitInput(const FitShape& shape) {
+  Dataset ds = BenchDataset(shape.rows, shape.features);
+  return {ds.features.ToRows(), ds.labels};
+}
+
+void FitOnce(const FitShape& shape, const FitInput& input) {
+  if (shape.trees > 0) {
+    ForestConfig fc;
+    fc.num_trees = shape.trees;
+    RandomForest forest(fc);
+    forest.Fit(input.x, input.y);
+    benchmark::DoNotOptimize(forest);
+  } else {
+    GradientBoosting boosting;
+    boosting.Fit(input.x, input.y);
+    benchmark::DoNotOptimize(boosting);
+  }
+}
+
+/// Times every kFitShapes entry (one warm-up, then kReps reps of kFitsPerRep
+/// back-to-back fits each) and persists per-fit median and quartiles.
+void ForestLedger() {
+  constexpr int kReps = 9;
+  constexpr int kFitsPerRep = 5;
+  bench::PrintTitle("Forest-fit ledger (" + std::to_string(kReps) +
+                    " reps x " + std::to_string(kFitsPerRep) + " fits)");
+  std::ostringstream json;
+  json << "{\n    \"reps\": " << kReps << ",\n    \"fits_per_rep\": "
+       << kFitsPerRep << ",\n    \"fits\": {\n";
+  bool first = true;
+  for (const FitShape& shape : kFitShapes) {
+    const FitInput input = MakeFitInput(shape);
+    FitOnce(shape, input);
+    std::vector<double> per_fit_ms;
+    for (int rep = 0; rep < kReps; ++rep) {
+      WallTimer timer;
+      for (int i = 0; i < kFitsPerRep; ++i) FitOnce(shape, input);
+      per_fit_ms.push_back(1e3 * timer.Seconds() / kFitsPerRep);
+    }
+    const double median = bench::Quantile(per_fit_ms, 0.5);
+    const double q1 = bench::Quantile(per_fit_ms, 0.25);
+    const double q3 = bench::Quantile(per_fit_ms, 0.75);
+    std::printf("%-20s %4d x %2d  trees %2d   median %8.3f ms   IQR %.3f ms\n",
+                shape.name, shape.rows, shape.features, shape.trees, median,
+                q3 - q1);
+    json << (first ? "" : ",\n") << "      \"" << shape.name << "\": {"
+         << "\"rows\": " << shape.rows << ", \"features\": " << shape.features
+         << ", \"trees\": " << shape.trees << ", \"median_ms\": " << median
+         << ", \"q1_ms\": " << q1 << ", \"q3_ms\": " << q3
+         << ", \"iqr_ms\": " << q3 - q1 << "}";
+    first = false;
+  }
+  json << "\n    }\n  }";
+  bench::PersistLedger("BENCH_forest.json", "micro_core_forest", json.str());
+}
+
 void BM_ApplyBinaryOp(benchmark::State& state) {
   Rng rng(1);
   std::vector<double> a(state.range(0)), b(state.range(0));
@@ -264,6 +349,17 @@ void BM_DownstreamEvaluation(benchmark::State& state) {
 BENCHMARK(BM_DownstreamEvaluation)->Arg(200)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
+// One model fit per iteration at each kFitShapes entry (the ledger above owns
+// the persisted numbers).
+void BM_ForestFit(benchmark::State& state) {
+  const FitShape& shape = kFitShapes[state.range(0)];
+  const FitInput input = MakeFitInput(shape);
+  for (auto _ : state) FitOnce(shape, input);
+  state.SetLabel(shape.name);
+}
+BENCHMARK(BM_ForestFit)->DenseRange(0, std::size(kFitShapes) - 1)
+    ->Unit(benchmark::kMillisecond);
+
 // The hot matrix product at the gate's shape, through the dispatcher, for
 // profiling runs (the gate above owns the scalar-vs-SIMD comparison).
 void BM_SimdMatMul(benchmark::State& state) {
@@ -289,6 +385,7 @@ BENCHMARK(BM_SimdMatMul)->Arg(0)->Arg(1);
 
 int main(int argc, char** argv) {
   const int gate_rc = fastft::KernelGate();
+  fastft::ForestLedger();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -21,25 +21,159 @@ double GiniFromCounts(const std::vector<double>& counts, double total) {
   return gini;
 }
 
+/// Stable two-way partition of items[0, count): items with goes_left(item)
+/// first, each side in its original order. Branch-free — every item is
+/// written to both outputs and only its own side's cursor advances. The left
+/// side compacts in place (its cursor never passes the read cursor); the
+/// right side goes through `scratch` and is copied in behind it.
+template <typename GoesLeft>
+void StablePartition(int* items, int count, int* scratch,
+                     const GoesLeft& goes_left) {
+  int left = 0;
+  int right = 0;
+  for (int i = 0; i < count; ++i) {
+    const int item = items[i];
+    const int side = goes_left(item);
+    items[left] = item;
+    scratch[right] = item;
+    left += side;
+    right += 1 - side;
+  }
+  std::copy(scratch, scratch + right, items + left);
+}
+
+/// Copies of a row written unconditionally when expanding a presorted order
+/// by sample multiplicity (see DecisionTree::Fit).
+constexpr int kExpandCopies = 4;
+
 }  // namespace
 
-void DecisionTree::Fit(const Rows& x, const std::vector<double>& y) {
+PresortedData::PresortedData(const Rows& x, const std::vector<double>& y)
+    : num_rows_(static_cast<int>(x.size())),
+      num_features_(x.empty() ? 0 : static_cast<int>(x[0].size())),
+      labels_(y) {
   FASTFT_CHECK(!x.empty());
   FASTFT_CHECK_EQ(x.size(), y.size());
-  num_features_ = static_cast<int>(x[0].size());
+  const size_t n = x.size();
+  const size_t cells = n * static_cast<size_t>(num_features_);
+  columns_.resize(cells);
+  order_.resize(cells);
+  for (size_t r = 0; r < n; ++r) {
+    FASTFT_CHECK_EQ(x[r].size(), static_cast<size_t>(num_features_));
+    for (int f = 0; f < num_features_; ++f) columns_[f * n + r] = x[r][f];
+  }
+  // Ties in value sort by label, so a node's scan visits (value, label)
+  // pairs in exactly the order a per-node sort of those pairs would. Sorting
+  // on value alone and then ordering each (usually single-row) run of equal
+  // values by (label, row) keeps the comparator of the big sort cheap.
+  struct Key {
+    double value;
+    int row;
+  };
+  std::vector<Key> keys(n);
+  auto by_label = [&y](const Key& a, const Key& b) {
+    return y[a.row] != y[b.row] ? y[a.row] < y[b.row] : a.row < b.row;
+  };
+  for (int f = 0; f < num_features_; ++f) {
+    const size_t base = f * n;
+    for (size_t r = 0; r < n; ++r) {
+      keys[r] = {columns_[base + r], static_cast<int>(r)};
+    }
+    std::sort(keys.begin(), keys.end(),
+              [](const Key& a, const Key& b) { return a.value < b.value; });
+    for (size_t begin = 0, end = 0; begin < n; begin = end) {
+      for (end = begin + 1; end < n && keys[end].value == keys[begin].value;)
+        ++end;
+      if (end - begin > 1) {
+        std::sort(keys.begin() + begin, keys.begin() + end, by_label);
+      }
+    }
+    for (size_t i = 0; i < n; ++i) order_[base + i] = keys[i].row;
+  }
+}
+
+/// Per-fit state. Every list holds one entry per sample instance; a node owns
+/// the segment [begin, end) of each, and a split stably partitions that
+/// segment of every list, so each child's segment stays in its parent's
+/// order: bootstrap order for `sample`, (value, label) order for `sorted`.
+struct DecisionTree::Workspace {
+  Workspace(const PresortedData& d, const std::vector<int>& s)
+      : data(d),
+        size(static_cast<int>(s.size())),
+        sample(s),
+        sorted(static_cast<size_t>(d.num_features_) * s.size() +
+               kExpandCopies),
+        scratch(s.size()),
+        goes_left(d.num_rows_),
+        values(s.size()),
+        labels(s.size()) {}
+
+  const PresortedData& data;
+  const int size;
+  /// Rows, in bootstrap order.
+  std::vector<int> sample;
+  /// Feature-major [feature * size + k]: rows in the feature's presorted
+  /// order, each repeated by its sample multiplicity.
+  std::vector<int> sorted;
+  std::vector<int> scratch;
+  /// Side of the current split, by row.
+  std::vector<char> goes_left;
+  /// A node's values and labels gathered contiguous for the scan.
+  std::vector<double> values;
+  std::vector<double> labels;
+  /// Classification class counts of the node and of the scan's two sides.
+  std::vector<double> total_counts;
+  std::vector<double> left_counts;
+  std::vector<double> right_counts;
+};
+
+void DecisionTree::Fit(const Rows& x, const std::vector<double>& y) {
+  const PresortedData data(x, y);
+  std::vector<int> sample(x.size());
+  std::iota(sample.begin(), sample.end(), 0);
+  Fit(data, sample);
+}
+
+void DecisionTree::Fit(const PresortedData& data,
+                       const std::vector<int>& sample) {
+  FASTFT_CHECK(!sample.empty());
+  const int n = data.num_rows_;
+  const int size = static_cast<int>(sample.size());
+  num_features_ = data.num_features_;
   nodes_.clear();
   importance_.assign(num_features_, 0.0);
-  if (config_.regression) {
-    num_classes_ = 0;
-  } else {
-    int max_label = 0;
-    for (double v : y) max_label = std::max(max_label, static_cast<int>(v));
-    num_classes_ = max_label + 1;
+  std::vector<int> multiplicity(n, 0);
+  int max_label = 0;
+  for (int r : sample) {
+    FASTFT_CHECK(r >= 0 && r < n) << "sample row " << r << " out of range";
+    ++multiplicity[r];
+    max_label = std::max(max_label, static_cast<int>(data.labels_[r]));
   }
-  std::vector<int> rows(x.size());
-  std::iota(rows.begin(), rows.end(), 0);
+  num_classes_ = config_.regression ? 0 : max_label + 1;
+
+  // Expand each feature's shared order by sample multiplicity. Bootstrap
+  // multiplicities are small, so every row is stored kExpandCopies times
+  // unconditionally and the cursor advances by its multiplicity — no
+  // data-dependent branch in the common case. The overhang lands in the next
+  // feature's list before that list is written, or in the slack at the end.
+  Workspace ws(data, sample);
+  for (int f = 0; f < num_features_; ++f) {
+    const int* order = &data.order_[static_cast<size_t>(f) * n];
+    int* out = &ws.sorted[static_cast<size_t>(f) * size];
+    for (int i = 0; i < n; ++i) {
+      const int row = order[i];
+      const int copies = multiplicity[row];
+      if (copies > kExpandCopies) {
+        std::fill_n(out, copies, row);
+      } else {
+        for (int c = 0; c < kExpandCopies; ++c) out[c] = row;
+      }
+      out += copies;
+    }
+  }
+
   Rng rng(config_.seed);
-  BuildNode(x, y, rows, 0, &rng);
+  BuildNode(ws, 0, size, 0, &rng);
   double total = 0.0;
   for (double v : importance_) total += v;
   if (total > 0) {
@@ -47,36 +181,41 @@ void DecisionTree::Fit(const Rows& x, const std::vector<double>& y) {
   }
 }
 
-int DecisionTree::BuildNode(const Rows& x, const std::vector<double>& y,
-                            std::vector<int>& rows, int depth, Rng* rng) {
+int DecisionTree::BuildNode(Workspace& ws, int begin, int end, int depth,
+                            Rng* rng) {
+  const PresortedData& data = ws.data;
+  const size_t num_rows = static_cast<size_t>(data.num_rows_);
   const int node_index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
-  const double n = static_cast<double>(rows.size());
+  const int count = end - begin;
+  const double n = static_cast<double>(count);
+  int* rows = ws.sample.data() + begin;
+  double* values = ws.values.data();
+  double* labels = ws.labels.data();
 
-  // Node value and impurity. The indexed gather into a contiguous scratch
-  // lets the sum/sumsq reduction run through the lane-split SIMD kernel.
+  // Node value and impurity, reduced in bootstrap order. The contiguous
+  // label gather lets the sum/sumsq run through the lane-split SIMD kernel.
   double node_impurity = 0.0;
   if (config_.regression) {
-    std::vector<double> labels;
-    labels.reserve(rows.size());
-    for (int r : rows) labels.push_back(y[r]);
+    for (int i = 0; i < count; ++i) labels[i] = data.labels_[rows[i]];
     double sum = 0.0, sumsq = 0.0;
-    simd::SumAndSumSq(labels.data(), static_cast<int>(labels.size()), &sum,
-                      &sumsq);
+    simd::SumAndSumSq(labels, count, &sum, &sumsq);
     double mean = sum / n;
     node_impurity = std::max(0.0, sumsq / n - mean * mean);
     nodes_[node_index].value = {mean};
   } else {
     std::vector<double> counts(num_classes_, 0.0);
-    for (int r : rows) counts[static_cast<int>(y[r])] += 1.0;
+    for (int i = 0; i < count; ++i) {
+      counts[static_cast<int>(data.labels_[rows[i]])] += 1.0;
+    }
     node_impurity = GiniFromCounts(counts, n);
+    ws.total_counts = counts;
     for (double& c : counts) c /= n;
     nodes_[node_index].value = std::move(counts);
   }
 
   const bool can_split = depth < config_.max_depth &&
-                         static_cast<int>(rows.size()) >=
-                             2 * config_.min_samples_leaf &&
+                         count >= 2 * config_.min_samples_leaf &&
                          node_impurity > 1e-12;
   if (!can_split) return node_index;
 
@@ -94,31 +233,27 @@ int DecisionTree::BuildNode(const Rows& x, const std::vector<double>& y,
   double best_threshold = 0.0;
   double best_gain = 1e-12;
 
-  std::vector<std::pair<double, double>> pairs;  // (feature value, label)
-  pairs.reserve(rows.size());
-  std::vector<double> sorted_labels;
-  sorted_labels.reserve(rows.size());
   for (int feature : candidates) {
-    pairs.clear();
-    for (int r : rows) pairs.emplace_back(x[r][feature], y[r]);
-    std::sort(pairs.begin(), pairs.end());
-    if (pairs.front().first == pairs.back().first) continue;
+    const int* sorted =
+        &ws.sorted[static_cast<size_t>(feature) * ws.size + begin];
+    const double* column = &data.columns_[feature * num_rows];
+    if (column[sorted[0]] == column[sorted[count - 1]]) continue;
+    for (int i = 0; i < count; ++i) {
+      values[i] = column[sorted[i]];
+      labels[i] = data.labels_[sorted[i]];
+    }
 
     if (config_.regression) {
-      // Split-scan totals: copy the sorted labels out of the (value, label)
-      // pairs so the reduction is contiguous and SIMD-friendly; the prefix
-      // scan itself stays sequential (each step depends on the last).
-      sorted_labels.clear();
-      for (const auto& [v, label] : pairs) sorted_labels.push_back(label);
+      // Split-scan totals in sorted order (the reduction is contiguous and
+      // SIMD-friendly); the prefix scan itself stays sequential (each step
+      // depends on the last).
       double left_sum = 0.0, left_sumsq = 0.0;
       double total_sum = 0.0, total_sumsq = 0.0;
-      simd::SumAndSumSq(sorted_labels.data(),
-                        static_cast<int>(sorted_labels.size()), &total_sum,
-                        &total_sumsq);
-      for (size_t i = 0; i + 1 < pairs.size(); ++i) {
-        left_sum += pairs[i].second;
-        left_sumsq += pairs[i].second * pairs[i].second;
-        if (pairs[i].first == pairs[i + 1].first) continue;
+      simd::SumAndSumSq(labels, count, &total_sum, &total_sumsq);
+      for (int i = 0; i + 1 < count; ++i) {
+        left_sum += labels[i];
+        left_sumsq += labels[i] * labels[i];
+        if (values[i] == values[i + 1]) continue;
         double nl = static_cast<double>(i + 1);
         double nr = n - nl;
         if (nl < config_.min_samples_leaf || nr < config_.min_samples_leaf) {
@@ -132,32 +267,30 @@ int DecisionTree::BuildNode(const Rows& x, const std::vector<double>& y,
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = feature;
-          best_threshold = 0.5 * (pairs[i].first + pairs[i + 1].first);
+          best_threshold = 0.5 * (values[i] + values[i + 1]);
         }
       }
     } else {
-      std::vector<double> left_counts(num_classes_, 0.0);
-      std::vector<double> total_counts(num_classes_, 0.0);
-      for (const auto& [v, label] : pairs) {
-        total_counts[static_cast<int>(label)] += 1.0;
-      }
-      std::vector<double> right_counts = total_counts;
-      for (size_t i = 0; i + 1 < pairs.size(); ++i) {
-        int cls = static_cast<int>(pairs[i].second);
-        left_counts[cls] += 1.0;
-        right_counts[cls] -= 1.0;
-        if (pairs[i].first == pairs[i + 1].first) continue;
+      // Class counts are small integers, exact in double in any order.
+      ws.left_counts.assign(num_classes_, 0.0);
+      ws.right_counts = ws.total_counts;
+      for (int i = 0; i + 1 < count; ++i) {
+        int cls = static_cast<int>(labels[i]);
+        ws.left_counts[cls] += 1.0;
+        ws.right_counts[cls] -= 1.0;
+        if (values[i] == values[i + 1]) continue;
         double nl = static_cast<double>(i + 1);
         double nr = n - nl;
         if (nl < config_.min_samples_leaf || nr < config_.min_samples_leaf) {
           continue;
         }
-        double gain = node_impurity - (nl / n) * GiniFromCounts(left_counts, nl) -
-                      (nr / n) * GiniFromCounts(right_counts, nr);
+        double gain = node_impurity -
+                      (nl / n) * GiniFromCounts(ws.left_counts, nl) -
+                      (nr / n) * GiniFromCounts(ws.right_counts, nr);
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = feature;
-          best_threshold = 0.5 * (pairs[i].first + pairs[i + 1].first);
+          best_threshold = 0.5 * (values[i] + values[i + 1]);
         }
       }
     }
@@ -165,19 +298,31 @@ int DecisionTree::BuildNode(const Rows& x, const std::vector<double>& y,
 
   if (best_feature < 0) return node_index;
 
-  std::vector<int> left_rows, right_rows;
-  for (int r : rows) {
-    (x[r][best_feature] <= best_threshold ? left_rows : right_rows)
-        .push_back(r);
+  const double* column = &data.columns_[best_feature * num_rows];
+  char* goes_left = ws.goes_left.data();
+  int left_count = 0;
+  for (int i = 0; i < count; ++i) {
+    const char left = column[rows[i]] <= best_threshold;
+    goes_left[rows[i]] = left;
+    left_count += left;
   }
-  if (left_rows.empty() || right_rows.empty()) return node_index;
+  if (left_count == 0 || left_count == count) return node_index;
 
   importance_[best_feature] += n * best_gain;
-  rows.clear();
-  rows.shrink_to_fit();
 
-  int left = BuildNode(x, y, left_rows, depth + 1, rng);
-  int right = BuildNode(x, y, right_rows, depth + 1, rng);
+  auto is_left = [goes_left](int row) { return goes_left[row]; };
+  StablePartition(rows, count, ws.scratch.data(), is_left);
+  // Children at max_depth are leaves: they read only `sample`.
+  if (depth + 1 < config_.max_depth) {
+    for (int f = 0; f < num_features_; ++f) {
+      StablePartition(&ws.sorted[static_cast<size_t>(f) * ws.size + begin],
+                      count, ws.scratch.data(), is_left);
+    }
+  }
+
+  const int mid = begin + left_count;
+  int left = BuildNode(ws, begin, mid, depth + 1, rng);
+  int right = BuildNode(ws, mid, end, depth + 1, rng);
   nodes_[node_index].feature = best_feature;
   nodes_[node_index].threshold = best_threshold;
   nodes_[node_index].left = left;
@@ -197,7 +342,7 @@ const DecisionTree::Node& DecisionTree::Descend(
   return nodes_[index];
 }
 
-std::vector<double> DecisionTree::PredictProba(
+const std::vector<double>& DecisionTree::PredictProba(
     const std::vector<double>& row) const {
   FASTFT_CHECK(!config_.regression);
   return Descend(row).value;

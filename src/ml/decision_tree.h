@@ -3,6 +3,10 @@
 // Supports per-node feature subsampling (for forests), depth and leaf-size
 // limits, class-probability leaves, and impurity-decrease feature
 // importances (used by the traceability study, Table IV).
+//
+// Split search never sorts at a node: every feature is sorted once per
+// training set (PresortedData), and each node is a segment of per-feature
+// instance lists that splits stably partition (DESIGN.md, "Tree fitting").
 
 #pragma once
 
@@ -22,11 +26,36 @@ struct TreeConfig {
   uint64_t seed = 13;
 };
 
+/// A training set transposed into columns, with every feature sorted once by
+/// (value, label, row). Immutable after construction: a forest builds one and
+/// every tree — on any pool thread — fits from it concurrently.
+class PresortedData {
+ public:
+  PresortedData(const Rows& x, const std::vector<double>& y);
+
+ private:
+  friend class DecisionTree;
+
+  int num_rows_;
+  int num_features_;
+  std::vector<double> labels_;
+  /// Feature-major, indexed [feature * num_rows + i]: x[i][feature], and
+  /// the row at rank i of the feature's (value, label, row) order.
+  std::vector<double> columns_;
+  std::vector<int> order_;
+};
+
 class DecisionTree : public Model {
  public:
   explicit DecisionTree(TreeConfig config = {}) : config_(config) {}
 
   void Fit(const Rows& x, const std::vector<double>& y) override;
+
+  /// Fits on the rows of `data` listed in `sample` — a bootstrap in draw
+  /// order, repeats allowed. Identical, bit for bit, to Fit() on those rows
+  /// materialized in that order.
+  void Fit(const PresortedData& data, const std::vector<int>& sample);
+
   std::vector<double> Predict(const Rows& x) const override;
   std::vector<double> PredictScore(const Rows& x) const override;
 
@@ -34,8 +63,9 @@ class DecisionTree : public Model {
   /// forests and boosting).
   double PredictOne(const std::vector<double>& row) const;
 
-  /// Per-class probabilities for one sample (classification only).
-  std::vector<double> PredictProba(const std::vector<double>& row) const;
+  /// Per-class probabilities for one sample (classification only): the
+  /// leaf's distribution, borrowed from the tree.
+  const std::vector<double>& PredictProba(const std::vector<double>& row) const;
 
   /// Total impurity decrease attributed to each feature; sums to ~1 after
   /// normalization (all-zero if the tree is a stump).
@@ -53,9 +83,9 @@ class DecisionTree : public Model {
     /// Class distribution (classification) or {mean} (regression).
     std::vector<double> value;
   };
+  struct Workspace;
 
-  int BuildNode(const Rows& x, const std::vector<double>& y,
-                std::vector<int>& rows, int depth, class Rng* rng);
+  int BuildNode(Workspace& ws, int begin, int end, int depth, class Rng* rng);
   const Node& Descend(const std::vector<double>& row) const;
 
   TreeConfig config_;
@@ -66,4 +96,3 @@ class DecisionTree : public Model {
 };
 
 }  // namespace fastft
-

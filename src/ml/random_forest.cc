@@ -34,22 +34,18 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
   const int boot_n =
       std::max(1, static_cast<int>(config_.bootstrap_fraction * n));
 
-  // Draw every bootstrap serially (identical draws for any thread count),
-  // then fit trees — in parallel when configured.
-  struct Bootstrap {
-    Rows bx;
-    std::vector<double> by;
-  };
-  std::vector<Bootstrap> bootstraps(config_.num_trees);
-  for (int t = 0; t < config_.num_trees; ++t) {
-    Bootstrap& boot = bootstraps[t];
-    boot.bx.reserve(boot_n);
-    boot.by.reserve(boot_n);
+  // Sort every feature once; each tree then fits from this shared, read-only
+  // view through its bootstrap's row indices. Bootstraps are drawn serially
+  // (identical draws for any thread count), then trees fit — in parallel
+  // when configured.
+  const PresortedData data(x, y);
+  std::vector<std::vector<int>> samples(config_.num_trees);
+  for (std::vector<int>& sample : samples) {
+    sample.reserve(boot_n + 1);
     bool has_positive = false;
     for (int i = 0; i < boot_n; ++i) {
       int r = rng.UniformInt(n);
-      boot.bx.push_back(x[r]);
-      boot.by.push_back(y[r]);
+      sample.push_back(r);
       has_positive |= (y[r] > 0.5);
     }
     // Keep bootstrap label diversity for classification: inject one sample
@@ -57,8 +53,7 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
     if (!config_.regression && !has_positive) {
       for (int r = 0; r < n; ++r) {
         if (y[r] > 0.5) {
-          boot.bx.push_back(x[r]);
-          boot.by.push_back(y[r]);
+          sample.push_back(r);
           break;
         }
       }
@@ -78,7 +73,7 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
     tc.max_features = per_split;
     tc.seed = DeriveSeed(config_.seed, static_cast<uint64_t>(t) + 1);
     DecisionTree tree(tc);
-    tree.Fit(bootstraps[t].bx, bootstraps[t].by);
+    tree.Fit(data, samples[t]);
     trees_[t] = std::move(tree);
   };
   const int threads =
@@ -91,15 +86,21 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
   }
 }
 
+void RandomForest::MeanProba(const std::vector<double>& row,
+                             std::vector<double>* probs) const {
+  FASTFT_CHECK(!config_.regression);
+  probs->assign(num_classes_, 0.0);
+  for (const DecisionTree& tree : trees_) {
+    const std::vector<double>& p = tree.PredictProba(row);
+    for (size_t c = 0; c < p.size(); ++c) (*probs)[c] += p[c];
+  }
+  for (double& p : *probs) p /= static_cast<double>(trees_.size());
+}
+
 std::vector<double> RandomForest::PredictProba(
     const std::vector<double>& row) const {
-  FASTFT_CHECK(!config_.regression);
-  std::vector<double> probs(num_classes_, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    std::vector<double> p = tree.PredictProba(row);
-    for (size_t c = 0; c < p.size(); ++c) probs[c] += p[c];
-  }
-  for (double& p : probs) p /= static_cast<double>(trees_.size());
+  std::vector<double> probs;
+  MeanProba(row, &probs);
   return probs;
 }
 
@@ -115,8 +116,9 @@ std::vector<double> RandomForest::Predict(const Rows& x) const {
       out.push_back(sum / static_cast<double>(trees_.size()));
     }
   } else {
+    std::vector<double> probs;
     for (const auto& row : x) {
-      std::vector<double> probs = PredictProba(row);
+      MeanProba(row, &probs);
       int best = 0;
       for (int c = 1; c < num_classes_; ++c) {
         if (probs[c] > probs[best]) best = c;
@@ -131,8 +133,9 @@ std::vector<double> RandomForest::PredictScore(const Rows& x) const {
   if (config_.regression) return Predict(x);
   std::vector<double> out;
   out.reserve(x.size());
+  std::vector<double> probs;
   for (const auto& row : x) {
-    std::vector<double> probs = PredictProba(row);
+    MeanProba(row, &probs);
     out.push_back(probs.size() >= 2 ? probs[1] : 0.0);
   }
   return out;

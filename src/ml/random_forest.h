@@ -46,6 +46,10 @@ class RandomForest : public Model {
   int num_classes() const { return num_classes_; }
 
  private:
+  /// PredictProba into a caller-owned buffer, reused across rows.
+  void MeanProba(const std::vector<double>& row,
+                 std::vector<double>* probs) const;
+
   ForestConfig config_;
   int num_classes_ = 0;
   int num_features_ = 0;

@@ -54,6 +54,39 @@ TEST(ParallelDeterminismTest, TreeParallelForestIsBitIdentical) {
   EXPECT_EQ(serial.Evaluate(ds), parallel.Evaluate(ds));
 }
 
+TEST(ParallelDeterminismTest, SharedPresortIsBitIdenticalAcrossThreadCounts) {
+  // Every tree of a forest fits from one presorted view of the training
+  // set, read concurrently by the tree-level threads; nested under
+  // fold-level threads the forests of different folds fit side by side.
+  // Neither may move a bit of the scores or the importances.
+  SyntheticSpec spec;
+  spec.samples = 300;
+  spec.features = 9;
+  spec.seed = 23;
+  const Dataset regression = MakeRegression(spec);
+  const Dataset classification = Classification(300, 21);
+  for (const Dataset* ds : {&classification, &regression}) {
+    EvaluatorConfig serial_cfg = EvalConfig(1);
+    serial_cfg.forest_trees = 12;
+    const Evaluator serial(serial_cfg);
+    const double expected = serial.Evaluate(*ds);
+    const std::vector<double> expected_importance =
+        serial.FeatureImportance(*ds);
+    for (int fold_threads : {1, 4}) {
+      for (int forest_threads : {1, 2, 4}) {
+        EvaluatorConfig cfg = serial_cfg;
+        cfg.num_threads = fold_threads;
+        cfg.forest_threads = forest_threads;
+        const Evaluator parallel(cfg);
+        EXPECT_EQ(parallel.Evaluate(*ds), expected)
+            << fold_threads << "x" << forest_threads;
+        EXPECT_EQ(parallel.FeatureImportance(*ds), expected_importance)
+            << fold_threads << "x" << forest_threads;
+      }
+    }
+  }
+}
+
 TEST(ParallelDeterminismTest, EvaluateBatchMatchesSerialLoop) {
   std::vector<Dataset> candidates;
   for (int i = 0; i < 8; ++i) {

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
+#include "data/synthetic.h"
 #include "ml/decision_tree.h"
+#include "ml/evaluator.h"
 #include "ml/gradient_boosting.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
@@ -286,6 +292,90 @@ TEST(RandomForestTest, MoreThreadsThanTreesClamped) {
   RandomForest forest(fc);
   forest.Fit(x, y);  // must not crash / deadlock
   EXPECT_EQ(forest.Predict(x).size(), x.size());
+}
+
+// --- Golden bits -------------------------------------------------------------
+//
+// Exact IEEE-754 bit patterns of the downstream scores the engine consumes,
+// pinned so that any change to the tree fitter (split search, tie order,
+// summation order, bootstrap handling) that moves a single bit fails here.
+// The shape matches the eval_bound benchmark workload: 1000 rows x 28
+// features, 4 folds x 12 trees.
+
+std::string Hex(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(v)));
+  return buffer;
+}
+
+#define EXPECT_BITS(expected, actual)                                     \
+  EXPECT_EQ(Hex(std::bit_cast<double>(uint64_t{expected})), Hex(actual)) \
+      << #actual
+
+Dataset GoldenClassification() {
+  SyntheticSpec spec;
+  spec.samples = 1000;
+  spec.features = 28;
+  spec.seed = 4242;
+  return MakeClassification(spec);
+}
+
+EvaluatorConfig GoldenConfig(ModelKind model) {
+  EvaluatorConfig ec;
+  ec.model = model;
+  ec.folds = 4;
+  ec.forest_trees = 12;
+  ec.seed = 1234;
+  return ec;
+}
+
+TEST(TreeGoldenBitsTest, RandomForestClassification) {
+  const Dataset ds = GoldenClassification();
+  const Evaluator evaluator(GoldenConfig(ModelKind::kRandomForest));
+  EXPECT_BITS(0x3fe8677654c4eeac, evaluator.Evaluate(ds));
+  EXPECT_BITS(0x3feaf938f9bf366f, evaluator.Evaluate(ds, Metric::kAuc));
+}
+
+TEST(TreeGoldenBitsTest, RandomForestRegression) {
+  SyntheticSpec spec;
+  spec.samples = 600;
+  spec.features = 16;
+  spec.seed = 4243;
+  const Dataset ds = MakeRegression(spec);
+  const Evaluator evaluator(GoldenConfig(ModelKind::kRandomForest));
+  EXPECT_BITS(0x3fdb8a88649a75e6, evaluator.Evaluate(ds));
+}
+
+TEST(TreeGoldenBitsTest, DecisionTreeAndBoosting) {
+  const Dataset ds = GoldenClassification();
+  EXPECT_BITS(0x3fe889c8d94c4ba4,
+              Evaluator(GoldenConfig(ModelKind::kDecisionTree)).Evaluate(ds));
+  EXPECT_BITS(
+      0x3fe9065560cbcd83,
+      Evaluator(GoldenConfig(ModelKind::kGradientBoosting)).Evaluate(ds));
+}
+
+TEST(TreeGoldenBitsTest, FeatureImportance) {
+  const Dataset ds = GoldenClassification();
+  const std::vector<double> importance =
+      Evaluator(GoldenConfig(ModelKind::kRandomForest)).FeatureImportance(ds);
+  const uint64_t expected[] = {
+      0x3fd31a8e8d24412b, 0x3fb0af00a8057a83, 0x3f92c478ae719b33,
+      0x3fc269faa187c56d, 0x3fbcef44ce667d0f, 0x3f9742e45063ffde,
+      0x3f813f40eda4e439, 0x3f846c84293a3b74, 0x3f83f5d9bc0ef7b7,
+      0x3f8914830b355982, 0x3f918c6292e953d6, 0x3f896413089d583b,
+      0x3f98edbfa11ce0e3, 0x3f872047c0947d52, 0x3f86d2eb44b755bb,
+      0x3f88a29b44be18bc, 0x3f8e3c6a2b22fce4, 0x3f91a2a0ab3d2b0e,
+      0x3f9796bde0e1b81a, 0x3f943435f1562a53, 0x3f9492412635a0f2,
+      0x3f91899b23f209cb, 0x3f9917edb38284bf, 0x3f7b1b5749678eea,
+      0x3f9243a0fc051e5f, 0x3f84af33d7100f2d, 0x3f98f801835519a8,
+      0x3f8d360b5d3fb4df,
+  };
+  ASSERT_EQ(importance.size(), std::size(expected));
+  for (size_t f = 0; f < importance.size(); ++f) {
+    EXPECT_BITS(expected[f], importance[f]) << " feature " << f;
+  }
 }
 
 }  // namespace
