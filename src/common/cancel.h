@@ -20,20 +20,16 @@ namespace common {
 
 class DeadlineToken {
  public:
+  /// A token that expires only through Cancel().
   DeadlineToken() = default;
+  /// Arms a wall-clock budget measured from construction (0 disables the
+  /// budget) and polls `external` (may be null), a kill switch such as a
+  /// flag flipped by a signal handler or controlling thread; the flag must
+  /// outlive the token.
+  DeadlineToken(int64_t budget_ms, const std::atomic<bool>* external)
+      : budget_ms_(budget_ms), external_(external) {}
   DeadlineToken(const DeadlineToken&) = delete;
   DeadlineToken& operator=(const DeadlineToken&) = delete;
-
-  /// Arms a wall-clock budget measured from this call. 0 disables the
-  /// budget (the token can still be cancelled).
-  void ArmBudget(int64_t budget_ms) {
-    budget_ms_ = budget_ms;
-    timer_.Restart();
-  }
-
-  /// Points the token at an external kill switch (e.g. a flag flipped by a
-  /// signal handler or controlling thread). The flag must outlive the token.
-  void AttachExternalFlag(const std::atomic<bool>* flag) { external_ = flag; }
 
   /// Requests cancellation directly.
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }

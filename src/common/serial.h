@@ -81,7 +81,9 @@ class BinaryReader {
            std::to_string(data_.size()));
       return false;
     }
-    std::memcpy(dst, data_.data() + pos_, size);
+    // An empty destination may be null (e.g. an empty vector's data()), and
+    // memcpy's pointers must be valid even for a zero length.
+    if (size > 0) std::memcpy(dst, data_.data() + pos_, size);
     pos_ += size;
     return true;
   }
@@ -107,7 +109,9 @@ class BinaryReader {
     std::vector<double> out;
     if (failed_) return out;
     out.resize(count);
-    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(double));
+    if (count > 0) {
+      std::memcpy(out.data(), data_.data() + pos_, count * sizeof(double));
+    }
     pos_ += count * sizeof(double);
     return out;
   }
@@ -124,7 +128,9 @@ class BinaryReader {
     std::vector<uint64_t> out;
     if (failed_) return out;
     out.resize(count);
-    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(uint64_t));
+    if (count > 0) {
+      std::memcpy(out.data(), data_.data() + pos_, count * sizeof(uint64_t));
+    }
     pos_ += count * sizeof(uint64_t);
     return out;
   }

@@ -15,8 +15,8 @@ class WallTimer {
  public:
   WallTimer() { Restart(); }
   // Measuring wall time is this class's purpose; every other call site must
-  // go through WallTimer/ScopedTimer so the lint can keep clock reads out
-  // of scoring paths.
+  // go through WallTimer so the lint can keep clock reads out of scoring
+  // paths.
   void Restart() { start_ = Clock::now(); }  // fastft-lint: allow(nondeterminism)
   /// Seconds elapsed since construction / last Restart().
   double Seconds() const {
@@ -54,23 +54,6 @@ class TimeBuckets {
  private:
   mutable common::Mutex mu_;
   std::map<std::string, double> buckets_ FASTFT_GUARDED_BY(mu_);
-};
-
-/// RAII guard that adds its lifetime to one bucket.
-class ScopedTimer {
- public:
-  ScopedTimer(TimeBuckets* buckets, std::string bucket)
-      : buckets_(buckets), bucket_(std::move(bucket)) {}
-  ~ScopedTimer() {
-    if (buckets_ != nullptr) buckets_->Add(bucket_, timer_.Seconds());
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimeBuckets* buckets_;
-  std::string bucket_;
-  WallTimer timer_;
 };
 
 }  // namespace fastft

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "common/fs.h"
-#include "common/rng.h"
 
 namespace fastft {
 namespace {
@@ -177,9 +176,9 @@ void ReadHistory(BinaryReader* r, std::vector<std::vector<double>>* h) {
   }
 }
 
-void WritePayload(const EngineCheckpointContext& ctx, BinaryWriter* w) {
-  const EngineRunState& rs = *ctx.run_state;
-  const EngineResult& result = *ctx.result;
+void WritePayload(const EngineState& state, BinaryWriter* w) {
+  const EngineRunState& rs = state.run;
+  const EngineResult& result = state.result;
 
   // Cursors and scalars.
   w->WriteI32(rs.next_episode);
@@ -207,11 +206,11 @@ void WritePayload(const EngineCheckpointContext& ctx, BinaryWriter* w) {
   w->WriteVecU64(seen);
 
   // RNG stream + learned components.
-  w->WriteString(ctx.rng->SaveState());
-  ctx.policy->SaveState(w);
-  ctx.buffer->SaveState(w);
-  ctx.predictor->SaveState(w);
-  ctx.novelty->SaveState(w);
+  w->WriteString(state.rng.SaveState());
+  state.policy->SaveState(w);
+  state.buffer.SaveState(w);
+  state.predictor->SaveState(w);
+  state.novelty->SaveState(w);
 
   // Accumulated result (the deterministic fields; wall-clock buckets,
   // metrics deltas, and cache counters are volatile and re-derived).
@@ -226,9 +225,9 @@ void WritePayload(const EngineCheckpointContext& ctx, BinaryWriter* w) {
   result.health.SaveState(w);
 }
 
-void ReadPayload(BinaryReader* r, const EngineCheckpointContext& ctx) {
-  EngineRunState& rs = *ctx.run_state;
-  EngineResult& result = *ctx.result;
+void ReadPayload(BinaryReader* r, EngineState* state) {
+  EngineRunState& rs = state->run;
+  EngineResult& result = state->result;
 
   rs.next_episode = r->ReadI32();
   rs.global_step = r->ReadI32();
@@ -263,14 +262,14 @@ void ReadPayload(BinaryReader* r, const EngineCheckpointContext& ctx) {
 
   std::string rng_state = r->ReadString();
   if (!r->ok()) return;
-  if (!ctx.rng->LoadState(rng_state)) {
+  if (!state->rng.LoadState(rng_state)) {
     r->Fail("corrupted RNG stream state");
     return;
   }
-  ctx.policy->LoadState(r);
-  ctx.buffer->LoadState(r);
-  ctx.predictor->LoadState(r);
-  ctx.novelty->LoadState(r);
+  state->policy->LoadState(r);
+  state->buffer.LoadState(r);
+  state->predictor->LoadState(r);
+  state->novelty->LoadState(r);
   if (!r->ok()) return;
 
   result.base_score = r->ReadDouble();
@@ -292,7 +291,7 @@ void ReadPayload(BinaryReader* r, const EngineCheckpointContext& ctx) {
 }  // namespace
 
 std::string SerializeEngineState(const EngineConfig& config,
-                                 const EngineCheckpointContext& ctx,
+                                 const EngineState& state,
                                  size_t reserve_hint) {
   // Header and payload share one buffer: payloads run to megabytes per
   // episode, so a separate payload buffer would cost a full extra copy.
@@ -303,7 +302,7 @@ std::string SerializeEngineState(const EngineConfig& config,
   w.WriteU32(kVersion);
   w.WriteU64(EngineConfigFingerprint(config));
   w.WriteU64(0);  // payload size placeholder, patched below.
-  WritePayload(ctx, &w);
+  WritePayload(state, &w);
   std::string envelope = w.Release();
   const uint64_t body_size = envelope.size() - kHeaderBytes;
   std::memcpy(&envelope[kHeaderBytes - sizeof(uint64_t)], &body_size,
@@ -323,7 +322,7 @@ Status WriteCheckpoint(const std::string& path, const std::string& envelope) {
 }
 
 Status RestoreEngineState(const std::string& path, const EngineConfig& config,
-                          const EngineCheckpointContext& ctx) {
+                          EngineState* state) {
   std::string blob;
   FASTFT_RETURN_NOT_OK(common::ReadFileToString(path, &blob));
 
@@ -374,7 +373,7 @@ Status RestoreEngineState(const std::string& path, const EngineConfig& config,
   }
 
   BinaryReader payload(body);
-  ReadPayload(&payload, ctx);
+  ReadPayload(&payload, state);
   if (!payload.ok()) {
     return Status::InvalidArgument("checkpoint '" + path + "' is corrupted: " +
                                    payload.status().message());

@@ -1,11 +1,11 @@
 // Crash-safe engine snapshots (checkpoint/resume subsystem).
 //
-// A checkpoint captures everything that crosses an episode boundary in
-// FastFtEngine::Run — RNG stream state, the cascading agents (or Q-cascade),
-// the prioritized replay buffer with its priorities, both estimation
-// networks with optimizer moments, the health ladder, percentile histories,
-// and the accumulated EngineResult — wrapped in a versioned, checksummed
-// envelope:
+// A checkpoint is one EngineState (core/engine.h) serialized whole — the
+// plain run state (cursors, running statistics, percentile and Fig. 14
+// histories), the RNG stream, the cascading agents (or Q-cascade), the
+// prioritized replay buffer with its priorities, both estimation networks
+// with optimizer moments, and the accumulated EngineResult with its health
+// ladder — wrapped in a versioned, checksummed envelope:
 //
 //   "FFCP" | u32 version | u64 config fingerprint | u64 payload size
 //   | payload | u32 CRC-32(payload)
@@ -15,7 +15,7 @@
 // deterministically from the boundary state, so a run killed at ANY point
 // and resumed from its last checkpoint replays the interrupted episode
 // exactly and converges to the bit-identical final result — at any thread
-// count (see DESIGN.md "Checkpoint & recovery").
+// count (see DESIGN.md "Checkpoint & recovery" and "Engine loop").
 //
 // The fingerprint hashes the determinism-relevant EngineConfig knobs; it
 // deliberately EXCLUDES `episodes` (a run checkpointed at episode k may be
@@ -26,8 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
-#include <vector>
 
 #include "common/serial.h"
 #include "common/status.h"
@@ -35,52 +33,18 @@
 
 namespace fastft {
 
-class Rng;
-
-/// The cross-episode scalars and histories of one Run() (the locals of the
-/// episode loop, hoisted so they can be snapshotted and restored).
-struct EngineRunState {
-  int next_episode = 0;
-  int global_step = 0;
-  bool components_ready = false;
-  int64_t warm_steps = 0;
-  int64_t warm_evals = 0;
-  double novelty_mean = 0.0;
-  int64_t novelty_count = 0;
-  /// Downstream-scored (sequence, score) pairs for component training.
-  std::vector<SequenceRecord> sequence_records;
-  /// Per-step-index percentile histories (size steps_per_episode each).
-  std::vector<std::vector<double>> prediction_history;
-  std::vector<std::vector<double>> novelty_history;
-  /// Fig. 14 bookkeeping.
-  std::vector<std::vector<double>> embedding_history;
-  std::unordered_set<uint64_t> seen_expressions;
-};
-
-/// Borrowed views of every component a snapshot covers. All pointers must
-/// be non-null and outlive the call.
-struct EngineCheckpointContext {
-  Rng* rng = nullptr;
-  CascadePolicy* policy = nullptr;
-  PrioritizedReplayBuffer* buffer = nullptr;
-  PerformancePredictor* predictor = nullptr;
-  NoveltyEstimator* novelty = nullptr;
-  EngineRunState* run_state = nullptr;
-  EngineResult* result = nullptr;
-};
-
 /// 64-bit hash of the determinism-relevant EngineConfig knobs (see header
 /// comment for what is excluded). A checkpoint only restores into a config
 /// with the identical fingerprint.
 [[nodiscard]] uint64_t EngineConfigFingerprint(const EngineConfig& config);
 
-/// Serializes the full engine state into an envelope (header + payload +
+/// Serializes the engine state into an envelope (header + payload +
 /// CRC), ready to hand to WriteCheckpoint. Pure in-memory; cheap enough to
 /// run at every episode boundary. `reserve_hint` pre-sizes the buffer —
 /// pass the previous snapshot's size to skip geometric-growth copies.
-[[nodiscard]] std::string SerializeEngineState(
-    const EngineConfig& config, const EngineCheckpointContext& ctx,
-    size_t reserve_hint = 0);
+[[nodiscard]] std::string SerializeEngineState(const EngineConfig& config,
+                                               const EngineState& state,
+                                               size_t reserve_hint = 0);
 
 /// Atomically writes an envelope to `path` (parent directory is created if
 /// missing; temp file + fsync + rename, so readers never observe a torn
@@ -88,13 +52,13 @@ struct EngineCheckpointContext {
 [[nodiscard]] Status WriteCheckpoint(const std::string& path,
                                      const std::string& envelope);
 
-/// Reads, validates, and restores a checkpoint into the context's
-/// components. Every corruption class gets a descriptive Status — NotFound
-/// (no file), InvalidArgument (bad magic / version / fingerprint / CRC /
-/// truncated or malformed payload) — and the components are then in an
-/// unspecified state: the caller must rebuild them before running fresh.
+/// Reads, validates, and restores a checkpoint into `state`. Every
+/// corruption class gets a descriptive Status — NotFound (no file, state
+/// untouched), InvalidArgument (bad magic / version / fingerprint / CRC /
+/// truncated or malformed payload) — and the state is then unspecified:
+/// the caller must rebuild it before running fresh.
 [[nodiscard]] Status RestoreEngineState(const std::string& path,
                                         const EngineConfig& config,
-                                        const EngineCheckpointContext& ctx);
+                                        EngineState* state);
 
 }  // namespace fastft

@@ -26,9 +26,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/agents.h"
@@ -219,6 +221,54 @@ struct EngineResult {
   /// or off.
   int64_t recorded_events = 0;
   int64_t recorded_dropped = 0;
+};
+
+/// The plain-data part of EngineState: the cross-episode scalars and
+/// histories of the episode loop. Compared whole by the checkpoint tests, so
+/// a field added here without being serialized fails them.
+struct EngineRunState {
+  int next_episode = 0;
+  int global_step = 0;
+  bool components_ready = false;
+  /// Warm-phase evaluation budget: the triggers aim at the top α% + β% of
+  /// steps, but with short histories every record-breaking step would fire
+  /// (P ≈ 1/(n+1) per step), so evaluations are capped at that share.
+  int64_t warm_steps = 0;
+  int64_t warm_evals = 0;
+  /// Running mean of observed novelty: the Eq. 6 bonus is centered on it, as
+  /// an always-positive bonus inflates every advantage and collapses the
+  /// softmax policy before the critic can absorb the offset.
+  double novelty_mean = 0.0;
+  int64_t novelty_count = 0;
+  /// Downstream-scored (sequence, score) pairs for component training.
+  std::vector<SequenceRecord> sequence_records;
+  /// Per-step-index percentile histories (size steps_per_episode each):
+  /// estimates grow as an episode's token sequence lengthens, so a step
+  /// triggers when it is exceptional among the steps at its position.
+  std::vector<std::vector<double>> prediction_history;
+  std::vector<std::vector<double>> novelty_history;
+  /// Fig. 14 bookkeeping.
+  std::vector<std::vector<double>> embedding_history;
+  std::unordered_set<uint64_t> seen_expressions;
+
+  bool operator==(const EngineRunState&) const = default;
+};
+
+/// Everything of one Run() that crosses an episode boundary: the plain run
+/// state, the RNG stream, the learned components and the accumulated
+/// result. Run()'s phase functions act on it, and the checkpoint
+/// (core/checkpoint.h) serializes and restores it whole. The constructor is
+/// the one place the run's components are built.
+struct EngineState {
+  explicit EngineState(const EngineConfig& config);
+
+  EngineRunState run;
+  Rng rng;
+  std::unique_ptr<CascadePolicy> policy;
+  PrioritizedReplayBuffer buffer;
+  std::unique_ptr<PerformancePredictor> predictor;
+  std::unique_ptr<NoveltyEstimator> novelty;
+  EngineResult result;
 };
 
 /// Rejects configurations the engine cannot run (non-positive schedules,

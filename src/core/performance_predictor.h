@@ -27,6 +27,8 @@ class Rng;
 struct SequenceRecord {
   std::vector<int> tokens;
   double score = 0.0;
+
+  bool operator==(const SequenceRecord&) const = default;
 };
 
 struct PredictorConfig {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/fs.h"
@@ -56,6 +57,28 @@ TEST(SerialTest, WriterReaderRoundTrip) {
   EXPECT_EQ(r.ReadVecDouble(), (std::vector<double>{1.5, -2.5, 0.0}));
   EXPECT_EQ(r.ReadVecInt(), (std::vector<int>{7, -8, 9}));
   EXPECT_EQ(r.ReadVecU64(), (std::vector<uint64_t>{1ull << 60, 42}));
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+// Empty containers have a null data(); the reader must not hand that to
+// memcpy (the UBSan leg aborts on it) and must still consume the prefix.
+TEST(SerialTest, EmptyContainersRoundTrip) {
+  BinaryWriter w;
+  w.WriteVecDouble({});
+  w.WriteVecInt({});
+  w.WriteVecU64({});
+  w.WriteString("");
+  w.WriteU32(7);
+
+  BinaryReader r(w.buffer());
+  EXPECT_TRUE(r.ReadVecDouble().empty());
+  EXPECT_TRUE(r.ReadVecInt().empty());
+  EXPECT_TRUE(r.ReadVecU64().empty());
+  EXPECT_TRUE(r.ReadString().empty());
+  std::vector<double> none;
+  EXPECT_TRUE(r.ReadRaw(none.data(), 0));
+  EXPECT_EQ(r.ReadU32(), 7u);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.remaining(), 0u);
 }
@@ -244,27 +267,9 @@ TEST(CheckpointTest, FingerprintTracksDeterminismKnobs) {
 // Envelope validation via a real (but arbitrary) component context.
 
 struct CtxBundle {
-  Rng rng{1};
-  std::unique_ptr<CascadePolicy> policy;
-  PrioritizedReplayBuffer buffer{16};
-  PerformancePredictor predictor{PredictorConfig{}};
-  NoveltyEstimator novelty{NoveltyConfig{}};
-  EngineRunState rs;
-  EngineResult result;
+  EngineState state{EngineConfig{}};
 
-  CtxBundle() : policy(std::make_unique<CascadingAgents>(AgentConfig{})) {}
-
-  EngineCheckpointContext ctx() {
-    EngineCheckpointContext c;
-    c.rng = &rng;
-    c.policy = policy.get();
-    c.buffer = &buffer;
-    c.predictor = &predictor;
-    c.novelty = &novelty;
-    c.run_state = &rs;
-    c.result = &result;
-    return c;
-  }
+  EngineState* ctx() { return &state; }
 };
 
 TEST(CheckpointTest, RestoreStatusesAreDescriptive) {
@@ -277,7 +282,7 @@ TEST(CheckpointTest, RestoreStatusesAreDescriptive) {
       RestoreEngineState(TempPath("nope.ckpt"), config, bundle.ctx());
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
 
-  std::string envelope = SerializeEngineState(config, bundle.ctx());
+  std::string envelope = SerializeEngineState(config, *bundle.ctx());
   ASSERT_TRUE(WriteCheckpoint(path, envelope).ok());
   // The pristine envelope restores (into the same components it came from).
   EXPECT_TRUE(RestoreEngineState(path, config, bundle.ctx()).ok());
@@ -381,6 +386,63 @@ void ExpectSameResult(const EngineResult& a, const EngineResult& b) {
 
 EngineResult RunOnce(EngineConfig cfg) {
   return FastFtEngine(cfg).Run(SmallDataset()).ValueOrDie();
+}
+
+// State drift: every field of EngineState must survive a checkpoint round
+// trip. The structured bindings below fail to compile when a field is added,
+// so whoever adds one extends this test — and an unserialized field then
+// comes back from the checkpoint at its default and fails it.
+TEST(CheckpointTest, EngineStateRoundTripsWhole) {
+  EngineConfig cfg = SmallConfig();
+  cfg.collect_novelty_metrics = true;  // fills the Fig. 14 histories
+  cfg.checkpoint_path = TempPath("drift/fastft.ckpt");
+  (void)RunOnce(cfg);  // past cold start: the last boundary is episode 5
+
+  EngineState boundary(cfg);
+  ASSERT_TRUE(
+      RestoreEngineState(cfg.checkpoint_path, cfg, &boundary).ok());
+  const auto& [run, rng, policy, buffer, predictor, novelty, result] =
+      boundary;
+  const auto& [next_episode, global_step, components_ready, warm_steps,
+               warm_evals, novelty_mean, novelty_count, sequence_records,
+               prediction_history, novelty_history, embedding_history,
+               seen_expressions] = run;
+  auto non_default = [](const auto& field) {
+    return field != std::decay_t<decltype(field)>{};
+  };
+  EXPECT_TRUE(non_default(next_episode));
+  EXPECT_TRUE(non_default(global_step));
+  EXPECT_TRUE(non_default(components_ready));
+  EXPECT_TRUE(non_default(warm_steps));
+  EXPECT_TRUE(non_default(warm_evals));
+  EXPECT_TRUE(non_default(novelty_mean));
+  EXPECT_TRUE(non_default(novelty_count));
+  EXPECT_TRUE(non_default(sequence_records));
+  EXPECT_TRUE(non_default(prediction_history));
+  EXPECT_TRUE(non_default(novelty_history));
+  EXPECT_TRUE(non_default(embedding_history));
+  EXPECT_TRUE(non_default(seen_expressions));
+  // The components are compared through their serialized bytes below.
+  EXPECT_NE(rng.SaveState(), Rng(cfg.seed).SaveState());
+  EXPECT_NE(policy, nullptr);
+  EXPECT_GT(buffer.size(), 0);
+  EXPECT_NE(predictor, nullptr);
+  EXPECT_NE(novelty, nullptr);
+  EXPECT_FALSE(result.trace.empty());
+
+  // Restoring loses nothing the engine wrote ...
+  const std::string envelope = SerializeEngineState(cfg, boundary);
+  std::string on_disk;
+  ASSERT_TRUE(common::ReadFileToString(cfg.checkpoint_path, &on_disk).ok());
+  EXPECT_EQ(envelope, on_disk);
+
+  // ... and a second round trip through a fresh state is exact.
+  const std::string path = TempPath("drift/again.ckpt");
+  ASSERT_TRUE(WriteCheckpoint(path, envelope).ok());
+  EngineState fresh(cfg);
+  ASSERT_TRUE(RestoreEngineState(path, cfg, &fresh).ok());
+  EXPECT_TRUE(fresh.run == boundary.run);
+  EXPECT_EQ(SerializeEngineState(cfg, fresh), envelope);
 }
 
 TEST(CheckpointTest, ResumeWithLongerHorizonMatchesUninterrupted) {

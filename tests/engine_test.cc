@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
+#include "common/fault.h"
+#include "common/fs.h"
+#include "common/serial.h"
 #include "core/engine.h"
+#include "core/run_report.h"
 #include "data/dataset_zoo.h"
 #include "data/synthetic.h"
 
@@ -220,6 +227,128 @@ TEST(EngineTest, NegativeThreadCountRejected) {
   Result<EngineResult> run = FastFtEngine(cfg).Run(SmallDataset());
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- Golden behaviour pin -------------------------------------------------
+//
+// Digests of complete runs under the configurations that reach every phase
+// of Run(): cold start, triggers, finetune, the health ladder, the Fig. 14
+// sweep, checkpoint serialization and the record stream. A restructuring of
+// the engine loop must leave every digest unchanged; a deliberate behaviour
+// change re-pins them (print the actual values from a failing run).
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= static_cast<uint64_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// RunReportJson minus the sections that vary between runs of one config —
+// wall-clock times, the process metrics delta and the prefix-cache counters,
+// the same sections tools/check_crash.sh treats as volatile. Each of them is
+// a single line of the report.
+std::string StableReport(const Dataset& ds, const EngineResult& r) {
+  const std::string report = RunReportJson(ds, r);
+  std::string out;
+  size_t start = 0;
+  while (start < report.size()) {
+    size_t end = report.find('\n', start);
+    if (end == std::string::npos) end = report.size();
+    const std::string line = report.substr(start, end - start);
+    if (line.rfind("  \"times\":", 0) != 0 &&
+        line.rfind("  \"metrics\":", 0) != 0 &&
+        line.rfind("  \"estimation_cache\":", 0) != 0) {
+      out += line;
+      out += '\n';
+    }
+    start = end + 1;
+  }
+  return out;
+}
+
+uint64_t ReportDigest(const EngineConfig& cfg) {
+  const Dataset ds = SmallDataset();
+  EngineResult r = FastFtEngine(cfg).Run(ds).ValueOrDie();
+  return Fnv1a(StableReport(ds, r));
+}
+
+std::string ReadAll(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(common::ReadFileToString(path, &bytes).ok()) << path;
+  return bytes;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(EngineGoldenTest, RunDigestsArePinned) {
+  const Dataset ds = SmallDataset();
+
+  // Paper-default actor-critic with checkpoint and flight recorder on.
+  {
+    const std::string dir = testing::TempDir() + "/engine_golden";
+    EngineConfig cfg = FastConfig();
+    cfg.checkpoint_path = dir + "/fastft.ckpt";
+    cfg.record_path = dir + "/fastft.ffrc";
+    EngineResult r = FastFtEngine(cfg).Run(ds).ValueOrDie();
+    const uint64_t report = Fnv1a(StableReport(ds, r));
+    const std::string envelope = ReadAll(cfg.checkpoint_path);
+    const uint32_t ckpt_crc = common::Crc32(envelope.data(), envelope.size());
+    const uint64_t record = Fnv1a(ReadAll(cfg.record_path));
+    EXPECT_EQ(report, 0x999dbdd5ec444711ull) << Hex(report);
+    EXPECT_EQ(ckpt_crc, 0x73baf6f3u) << Hex(ckpt_crc);
+    EXPECT_EQ(record, 0x4013ce43e033bb70ull) << Hex(record);
+  }
+  {
+    EngineConfig cfg = FastConfig();
+    cfg.framework = RlFramework::kDqn;
+    const uint64_t digest = ReportDigest(cfg);
+    EXPECT_EQ(digest, 0x0afdfc1bb8b6de68ull) << "kDqn " << Hex(digest);
+  }
+  {
+    EngineConfig cfg = FastConfig();
+    cfg.use_performance_predictor = false;
+    const uint64_t digest = ReportDigest(cfg);
+    EXPECT_EQ(digest, 0xdf4d5f0c37fafafaull) << "-PP " << Hex(digest);
+  }
+  {
+    // Predict() always faults: the predictor is quarantined at its first
+    // warm-phase prediction and re-armed by a healthy finetune probe.
+    ScopedFaultInjection inject(2, {{"predictor/predict", 1.0}});
+    EngineConfig cfg = FastConfig();
+    cfg.episodes = 8;
+    cfg.finetune_every_episodes = 1;
+    EngineResult r = FastFtEngine(cfg).Run(ds).ValueOrDie();
+    EXPECT_GE(r.health.predictor.quarantines, 1);
+    EXPECT_GE(r.health.predictor.recoveries, 1);
+    const uint64_t digest = Fnv1a(StableReport(ds, r));
+    EXPECT_EQ(digest, 0xae1e61a973928595ull) << "fault " << Hex(digest);
+  }
+  {
+    // The report omits the Fig. 14 columns, so they get a digest of their
+    // own.
+    EngineConfig cfg = FastConfig();
+    cfg.collect_novelty_metrics = true;
+    EngineResult r = FastFtEngine(cfg).Run(ds).ValueOrDie();
+    const uint64_t digest = Fnv1a(StableReport(ds, r));
+    EXPECT_EQ(digest, 0x999dbdd5ec444711ull)
+        << "novelty metrics " << Hex(digest);
+    common::BinaryWriter fig14;
+    for (const StepTrace& t : r.trace) {
+      fig14.WriteDouble(t.novelty_distance);
+      fig14.WriteI32(t.unseen_cumulative);
+    }
+    const uint64_t metrics = Fnv1a(fig14.buffer());
+    EXPECT_EQ(metrics, 0x04dc0c76a351dc3bull)
+        << "Fig. 14 columns " << Hex(metrics);
+  }
 }
 
 TEST(EngineTest, RlFrameworkNames) {

@@ -10,7 +10,7 @@ and the locking discipline (src/common/thread_annotations.h) enforceable:
                       abstraction itself (src/common/timer.cc,
                       src/common/trace.cc). Scoring paths must derive all
                       randomness from seeded fastft::Rng streams and all
-                      time from WallTimer/ScopedTimer.
+                      time from WallTimer (src/common/timer.h).
   unordered-iteration Iteration over std::unordered_map / unordered_set in
                       src/core/ and src/nn/ (the scoring paths): hash-map
                       iteration order is implementation-defined, so any loop
