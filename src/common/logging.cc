@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/ring.h"
 #include "common/thread_annotations.h"
-#include "common/trace.h"
 
 namespace fastft {
 namespace {

@@ -1,14 +1,11 @@
 #include "common/recorder.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <limits>
-#include <memory>
+#include <iterator>
 
 #include "common/fs.h"
+#include "common/ring.h"
 #include "common/serial.h"
-#include "common/thread_annotations.h"
 
 namespace fastft {
 namespace obs {
@@ -16,64 +13,14 @@ namespace {
 
 using common::BinaryReader;
 using common::BinaryWriter;
-using common::Mutex;
-using common::MutexLock;
 
 constexpr uint32_t kStreamMagic = 0x43524646;  // "FFRC" little-endian
 constexpr uint32_t kBlockMagic = 0x4B4C4246;   // "FBLK"
 
-// Guards the recorder's buffer registry (vector + session capacity). Same
-// lock-order contract as the tracer: RecorderMutex() may be held while
-// taking an EventBuffer::mu, never the other way around. Leaked on purpose
-// so pool workers can emit during static destruction.
-Mutex& RecorderMutex() {
-  static Mutex* mu = new Mutex();
-  return *mu;
-}
-
-// One thread's drop-oldest event ring. Only its owner emits into it; the
-// controller and the drain lock `mu` briefly, so the owner's lock is
-// uncontended in steady state.
-struct EventBuffer {
-  explicit EventBuffer(int tid_in) : tid(tid_in) {}
-
-  const int tid;
-
-  Mutex mu;
-  // sized on StartRecording (or creation while on)
-  std::vector<RecordEvent> slots FASTFT_GUARDED_BY(mu);
-  // events ever emitted since the last StartRecording/Drain
-  uint64_t count FASTFT_GUARDED_BY(mu) = 0;
-};
-
-struct EventRecorder {
-  std::vector<std::unique_ptr<EventBuffer>> buffers
-      FASTFT_GUARDED_BY(RecorderMutex());
-
-  std::atomic<bool> enabled{false};
-  size_t ring_capacity FASTFT_GUARDED_BY(RecorderMutex()) =
-      RecorderOptions{}.ring_capacity;
-};
-
-EventRecorder& GlobalEventRecorder() {
-  static EventRecorder* recorder = new EventRecorder();
-  return *recorder;
-}
-
-EventBuffer* ThisThreadEventBuffer() {
-  thread_local EventBuffer* tls_buffer = nullptr;
-  if (tls_buffer == nullptr) {
-    EventRecorder& rec = GlobalEventRecorder();
-    MutexLock lock(&RecorderMutex());
-    const int tid = static_cast<int>(rec.buffers.size());
-    rec.buffers.push_back(std::make_unique<EventBuffer>(tid));
-    tls_buffer = rec.buffers.back().get();
-    if (rec.enabled.load(std::memory_order_relaxed)) {
-      MutexLock buffer_lock(&tls_buffer->mu);
-      tls_buffer->slots.resize(rec.ring_capacity);
-    }
-  }
-  return tls_buffer;
+// Leaked on purpose so pool workers can emit during static destruction.
+Ring<RecordEvent>& EventRing() {
+  static Ring<RecordEvent>* ring = new Ring<RecordEvent>();
+  return *ring;
 }
 
 void WriteAgentDecision(BinaryWriter* w, const AgentDecision& d) {
@@ -296,66 +243,21 @@ const char* RecordEventKindName(RecordEventKind kind) {
 }
 
 void StartRecording(const RecorderOptions& options) {
-  EventRecorder& rec = GlobalEventRecorder();
-  MutexLock lock(&RecorderMutex());
-  // Quiesce concurrent emitters against the per-buffer locks before the
-  // rings are resized, exactly like StartTracing.
-  rec.enabled.store(false, std::memory_order_relaxed);
-  rec.ring_capacity = std::max<size_t>(options.ring_capacity, 1);
-  for (auto& buffer : rec.buffers) {
-    MutexLock buffer_lock(&buffer->mu);
-    // `count = 0` alone restarts the session: only slots below `count` are
-    // ever read, so stale events from a previous session are unreachable
-    // and re-constructing 16k slots per ring per run would dwarf the cost
-    // of the recording itself.
-    if (buffer->slots.size() != rec.ring_capacity) {
-      buffer->slots.resize(rec.ring_capacity);
-    }
-    buffer->count = 0;
-  }
-  rec.enabled.store(true, std::memory_order_release);
+  EventRing().Start(options.ring_capacity);
 }
 
-void StopRecording() {
-  GlobalEventRecorder().enabled.store(false, std::memory_order_release);
-}
+void StopRecording() { EventRing().Stop(); }
 
-bool RecordingActive() {
-  return GlobalEventRecorder().enabled.load(std::memory_order_relaxed);
-}
+bool RecordingActive() { return EventRing().Active(); }
 
-void Emit(const RecordEvent& event) {
-  EventRecorder& rec = GlobalEventRecorder();
-  if (!rec.enabled.load(std::memory_order_relaxed)) return;
-  EventBuffer* buffer = ThisThreadEventBuffer();
-  MutexLock lock(&buffer->mu);
-  if (buffer->slots.empty()) return;  // ring sized only while recording
-  buffer->slots[buffer->count % buffer->slots.size()] = event;
-  ++buffer->count;
-}
+void Emit(const RecordEvent& event) { EventRing().Append(event); }
 
 DrainedEvents DrainRecordedEvents() {
-  EventRecorder& rec = GlobalEventRecorder();
   DrainedEvents drained;
-  MutexLock lock(&RecorderMutex());
-  for (auto& buffer : rec.buffers) {
-    MutexLock buffer_lock(&buffer->mu);
-    const size_t capacity = buffer->slots.size();
-    if (capacity > 0 && buffer->count > 0) {
-      const uint64_t kept = std::min<uint64_t>(buffer->count, capacity);
-      if (buffer->count > kept) {
-        drained.dropped_by_tid[buffer->tid] +=
-            static_cast<int64_t>(buffer->count - kept);
-      }
-      for (uint64_t i = buffer->count - kept; i < buffer->count; ++i) {
-        drained.events.push_back(
-            std::move(buffer->slots[i % capacity]));
-      }
-      // Resetting the counter alone empties the ring: the moved-from slots
-      // are unreachable until an Emit overwrites them, and clearing 16k
-      // slots per episode would cost more than the recording itself.
-      buffer->count = 0;
-    }
+  for (RingSlice<RecordEvent>& slice : EventRing().Drain()) {
+    if (slice.dropped > 0) drained.dropped_by_tid[slice.tid] += slice.dropped;
+    std::move(slice.items.begin(), slice.items.end(),
+              std::back_inserter(drained.events));
   }
   return drained;
 }

@@ -15,18 +15,17 @@
 //   * Recording never steers: every recorded value is a copy of a number
 //     the engine computed anyway. Scores, reports, and traces are
 //     bit-identical with recording on or off, at any thread count.
-//   * Per-thread fixed-capacity drop-oldest rings with exact dropped-event
-//     counters (the common/trace.h idiom): emission from pool workers is
-//     race-free and never blocks on a shared lock.
+//   * Events land in the per-thread drop-oldest rings of common/ring.h, as
+//     spans do: exact dropped counters keyed by the trace/log tid, and no
+//     shared lock on the emission path.
 //   * The on-disk stream is a versioned binary envelope on the
 //     common/serial.h writer: an "FFRC" header followed by per-episode
 //     blocks, each CRC-32-guarded and written through the fs atomic-write
 //     path. A crash leaves the blocks of completed episodes intact.
 //   * Checkpoint-aware resume: RecordStream::Open(path, resume_episode)
-//     keeps the blocks before the resume cursor and drops everything at or
-//     after it (a killed run replays its interrupted episode), so
-//     kill → resume produces ONE coherent stream covering every episode
-//     exactly once.
+//     keeps only the blocks before the resume cursor (a killed run replays
+//     its interrupted episode), so kill → resume produces ONE coherent
+//     stream covering every episode exactly once.
 
 #pragma once
 

@@ -3,7 +3,7 @@
 // The determinism contract (bit-identical scores at any thread count, see
 // DESIGN.md "Concurrency model") rests on a handful of locking disciplines
 // scattered across the concurrent subsystems: the pool's queue/exception
-// state, the trace rings and registry, the metrics registry, the
+// state, the obs rings and thread registry, the metrics registry, the
 // encode-cache LRU, TimeBuckets, the fault injector, and the log sink.
 // TSan checks those disciplines dynamically — but only on the interleavings
 // the test inputs happen to produce. These annotations let Clang's

@@ -4,94 +4,24 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/fs.h"
-#include "common/thread_annotations.h"
 
 namespace fastft {
 namespace obs {
 namespace {
 
-using common::Mutex;
-using common::MutexLock;
-
-// Guards the buffer registry (the vector plus each buffer's name and the
-// session ring capacity). Leaked on purpose, like the recorder below: pool
-// workers may still register or record during static destruction. Lock
-// order: RegistryMutex() may be held while taking a ThreadBuffer::mu, never
-// the other way around.
-Mutex& RegistryMutex() {
-  static Mutex* mu = new Mutex();
-  return *mu;
+// Leaked on purpose: pool workers may still record during static
+// destruction.
+Ring<SpanEvent>& SpanRing() {
+  static Ring<SpanEvent>* ring = new Ring<SpanEvent>();
+  return *ring;
 }
 
-struct Slot {
-  const char* name = nullptr;
-  uint64_t start_ns = 0;
-  uint64_t duration_ns = 0;
-};
-
-// One thread's ring. Only its owner records into it; the controller
-// (StartTracing) and the exporter lock `mu` briefly, so the owner's lock is
-// uncontended during steady-state recording.
-struct ThreadBuffer {
-  ThreadBuffer(int tid_in, std::string name_in)
-      : tid(tid_in), thread_name(std::move(name_in)) {}
-
-  const int tid;
-  std::string thread_name FASTFT_GUARDED_BY(RegistryMutex());
-  // explicit name vs. the "thread-<id>" fallback
-  bool named FASTFT_GUARDED_BY(RegistryMutex()) = false;
-
-  Mutex mu;
-  // sized on StartTracing (or creation while on)
-  std::vector<Slot> slots FASTFT_GUARDED_BY(mu);
-  // spans ever recorded this session
-  uint64_t count FASTFT_GUARDED_BY(mu) = 0;
-};
-
-struct Recorder {
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers
-      FASTFT_GUARDED_BY(RegistryMutex());
-
-  std::atomic<bool> enabled{false};
-  std::atomic<uint64_t> origin_ns{0};
-  size_t ring_capacity FASTFT_GUARDED_BY(RegistryMutex()) =
-      TraceOptions{}.ring_capacity;
-};
-
-// Leaked on purpose: pool workers (and their thread-local pointers below)
-// outlive every static destructor that might still record or log.
-Recorder& GlobalRecorder() {
-  static Recorder* recorder = new Recorder();
-  return *recorder;
-}
-
-ThreadBuffer* CreateBufferLocked(Recorder& rec)
-    FASTFT_REQUIRES(RegistryMutex()) {
-  const int tid = static_cast<int>(rec.buffers.size());
-  rec.buffers.push_back(std::make_unique<ThreadBuffer>(
-      tid, "thread-" + std::to_string(tid)));
-  ThreadBuffer* buffer = rec.buffers.back().get();
-  if (rec.enabled.load(std::memory_order_relaxed)) {
-    MutexLock lock(&buffer->mu);
-    buffer->slots.resize(rec.ring_capacity);
-  }
-  return buffer;
-}
-
-ThreadBuffer* ThisThreadBuffer() {
-  thread_local ThreadBuffer* tls_buffer = nullptr;
-  if (tls_buffer == nullptr) {
-    Recorder& rec = GlobalRecorder();
-    MutexLock lock(&RegistryMutex());
-    tls_buffer = CreateBufferLocked(rec);
-  }
-  return tls_buffer;
-}
+// Session origin that span start times are rebased onto.
+std::atomic<uint64_t> g_origin_ns{0};
 
 void AppendJsonNumber(std::ostringstream& out, double v) {
   char buffer[40];
@@ -116,64 +46,27 @@ int64_t TraceSnapshot::TotalDropped() const {
 }
 
 void StartTracing(const TraceOptions& options) {
-  Recorder& rec = GlobalRecorder();
   RegisterThisThread("main");
-  MutexLock lock(&RegistryMutex());
-  // Disable first so concurrent recorders quiesce against the per-buffer
-  // locks taken below rather than appending into half-cleared rings.
-  rec.enabled.store(false, std::memory_order_relaxed);
-  rec.ring_capacity = std::max<size_t>(options.ring_capacity, 1);
-  for (auto& buffer : rec.buffers) {
-    MutexLock buffer_lock(&buffer->mu);
-    buffer->slots.assign(rec.ring_capacity, Slot{});
-    buffer->count = 0;
-  }
-  rec.origin_ns.store(internal::NowNs(), std::memory_order_relaxed);
-  rec.enabled.store(true, std::memory_order_release);
+  g_origin_ns.store(internal::NowNs(), std::memory_order_relaxed);
+  SpanRing().Start(options.ring_capacity);
 }
 
-void StopTracing() {
-  GlobalRecorder().enabled.store(false, std::memory_order_release);
-}
+void StopTracing() { SpanRing().Stop(); }
 
-bool TracingActive() {
-  return GlobalRecorder().enabled.load(std::memory_order_relaxed);
-}
-
-int RegisterThisThread(const std::string& name) {
-  ThreadBuffer* buffer = ThisThreadBuffer();
-  MutexLock lock(&RegistryMutex());
-  if (!buffer->named) {
-    buffer->thread_name = name;
-    buffer->named = true;
-  }
-  return buffer->tid;
-}
-
-int CurrentThreadId() { return ThisThreadBuffer()->tid; }
+bool TracingActive() { return SpanRing().Active(); }
 
 TraceSnapshot SnapshotTrace() {
-  Recorder& rec = GlobalRecorder();
+  std::vector<RingSlice<SpanEvent>> slices = SpanRing().Snapshot();
+  // Read after the slices (tids only grow), so every slice's thread is named.
+  const std::vector<std::string> names = internal::RegisteredThreadNames();
   TraceSnapshot snapshot;
-  MutexLock lock(&RegistryMutex());
-  snapshot.threads.reserve(rec.buffers.size());
-  for (auto& buffer : rec.buffers) {
-    MutexLock buffer_lock(&buffer->mu);
-    ThreadTrace trace;
-    trace.tid = buffer->tid;
-    trace.thread_name = buffer->thread_name;
-    const size_t capacity = buffer->slots.size();
-    if (capacity > 0 && buffer->count > 0) {
-      const uint64_t kept = std::min<uint64_t>(buffer->count, capacity);
-      trace.dropped = static_cast<int64_t>(buffer->count - kept);
-      trace.events.reserve(kept);
-      // Oldest retained span first: the ring wraps at `capacity`.
-      for (uint64_t i = buffer->count - kept; i < buffer->count; ++i) {
-        const Slot& slot = buffer->slots[i % capacity];
-        trace.events.push_back({slot.name, slot.start_ns, slot.duration_ns});
-      }
-    }
-    snapshot.threads.push_back(std::move(trace));
+  for (size_t tid = 0; tid < names.size(); ++tid) {
+    snapshot.threads.push_back({static_cast<int>(tid), names[tid], {}, 0});
+  }
+  for (RingSlice<SpanEvent>& slice : slices) {
+    ThreadTrace& trace = snapshot.threads[slice.tid];
+    trace.events = std::move(slice.items);
+    trace.dropped = slice.dropped;
   }
   return snapshot;
 }
@@ -276,19 +169,12 @@ uint64_t NowNs() {
 }
 
 void RecordSpan(const char* name, uint64_t start_ns, uint64_t end_ns) {
-  Recorder& rec = GlobalRecorder();
-  if (!rec.enabled.load(std::memory_order_relaxed)) return;
-  ThreadBuffer* buffer = ThisThreadBuffer();
-  const uint64_t origin = rec.origin_ns.load(std::memory_order_relaxed);
-  Slot slot;
-  slot.name = name;
+  Ring<SpanEvent>& ring = SpanRing();
+  if (!ring.Active()) return;
+  const uint64_t origin = g_origin_ns.load(std::memory_order_relaxed);
   // A span opened before StartTracing rebases to the session origin.
-  slot.start_ns = start_ns > origin ? start_ns - origin : 0;
-  slot.duration_ns = end_ns > start_ns ? end_ns - start_ns : 0;
-  MutexLock lock(&buffer->mu);
-  if (buffer->slots.empty()) return;  // ring sized only while tracing is on
-  buffer->slots[buffer->count % buffer->slots.size()] = slot;
-  ++buffer->count;
+  ring.Append({name, start_ns > origin ? start_ns - origin : 0,
+               end_ns > start_ns ? end_ns - start_ns : 0});
 }
 
 }  // namespace internal

@@ -8,21 +8,11 @@
 // as Chrome trace-event JSON (loadable in chrome://tracing or Perfetto)
 // plus an aggregated per-span summary.
 //
-// Design (see DESIGN.md "Observability"):
-//   * Always compiled, cheap when disabled: FASTFT_TRACE_SPAN costs one
-//     relaxed atomic load when tracing is off. No computation is ever
-//     reordered or skipped because of tracing — engine outputs are
-//     bit-identical with tracing on or off, at any thread count.
-//   * One fixed-capacity ring buffer per thread, drop-oldest beyond the cap
-//     with a dropped-span counter. Each ring is single-writer (its owner
-//     thread); a per-ring mutex — uncontended in steady state — makes the
-//     exporter's snapshot race-free under TSan without a shared lock on the
-//     recording path.
-//   * Threads register explicitly (ThreadPool workers do) or lazily on
-//     first use; registration order assigns small stable tids that double
-//     as the log-line thread ids.
-//   * StartTracing clears every ring and (re)arms recording; StopTracing
-//     freezes the rings so they can be snapshotted/exported afterwards.
+// Always compiled, cheap when disabled: FASTFT_TRACE_SPAN costs one relaxed
+// atomic load when tracing is off, and engine outputs are bit-identical with
+// tracing on or off, at any thread count. Spans land in the per-thread
+// drop-oldest rings of common/ring.h, under the tids FASTFT_LOG and the
+// flight recorder use too.
 //
 // Span naming scheme mirrors fault sites: "<subsystem>/<operation>", e.g.
 // "engine/step", "evaluator/fold", "pool/task", "encode_cache/lookup".
@@ -34,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.h"
 #include "common/status.h"
 
 namespace fastft {
@@ -56,15 +47,6 @@ void StopTracing();
 
 /// True between StartTracing and StopTracing. One relaxed atomic load.
 bool TracingActive();
-
-/// Names the calling thread and returns its stable tid. First call wins;
-/// later calls only return the tid. ThreadPool workers call this as
-/// "pool-worker-<i>".
-int RegisterThisThread(const std::string& name);
-
-/// Stable small id of the calling thread (registers it as "thread-<id>" on
-/// first use). Also used by FASTFT_LOG line prefixes.
-int CurrentThreadId();
 
 /// One recorded span. `name` points at the call site's string literal;
 /// times are nanoseconds since the StartTracing origin.

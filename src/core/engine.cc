@@ -264,22 +264,30 @@ EngineState::EngineState(const EngineConfig& config)
 
 namespace {
 
-// Times one phase of Run(): its wall clock lands in a Table II bucket of
-// EngineResult::times and, while tracing, in a span of the same extent. A
-// null span name times the bucket only.
+// Times one phase of Run() with one clock read at entry and one at exit:
+// the difference lands in a Table II bucket of EngineResult::times and,
+// when tracing was on at entry, the same two stamps become a span. A null
+// span name times the bucket only.
 class PhaseGuard {
  public:
   PhaseGuard(TimeBuckets* times, const char* bucket, const char* span)
-      : times_(times), bucket_(bucket), span_(span) {}
-  ~PhaseGuard() { times_->Add(bucket_, timer_.Seconds()); }
+      : times_(times),
+        bucket_(bucket),
+        span_(span != nullptr && obs::TracingActive() ? span : nullptr),
+        start_ns_(obs::internal::NowNs()) {}
+  ~PhaseGuard() {
+    const uint64_t end_ns = obs::internal::NowNs();
+    times_->Add(bucket_, static_cast<double>(end_ns - start_ns_) * 1e-9);
+    if (span_ != nullptr) obs::internal::RecordSpan(span_, start_ns_, end_ns);
+  }
   PhaseGuard(const PhaseGuard&) = delete;
   PhaseGuard& operator=(const PhaseGuard&) = delete;
 
  private:
   TimeBuckets* times_;
   const char* bucket_;
-  WallTimer timer_;
-  obs::TraceSpan span_;
+  const char* span_;  // nullptr = bucket only, or tracing was off at entry
+  uint64_t start_ns_;
 };
 
 FeatureSpaceConfig SpaceConfig(const EngineConfig& config,

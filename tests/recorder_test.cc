@@ -11,15 +11,19 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
 #include "common/fs.h"
+#include "common/trace.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
 
@@ -258,6 +262,66 @@ TEST_F(RecorderTest, ConcurrentEmissionKeepsExactDroppedCounters) {
   EXPECT_EQ(decoded.value().dropped_by_tid, drained.dropped_by_tid);
   EXPECT_EQ(decoded.value().TotalDropped(), drained.TotalDropped());
   std::remove(path.c_str());
+}
+
+TEST_F(RecorderTest, DroppedCountersAreKeyedByTheTraceAndLogThreadId) {
+  // The recorder, the tracer and FASTFT_LOG share one thread registry, so a
+  // dropped-counter key names the same thread as its trace `tid` and its
+  // log `T<n>` — even when threads emit in the opposite order to the one
+  // they registered in.
+  constexpr int kCapacity = 8;
+  obs::TraceOptions trace_options;
+  trace_options.ring_capacity = kCapacity;
+  obs::StartTracing(trace_options);
+  obs::RecorderOptions options;
+  options.ring_capacity = kCapacity;
+  obs::StartRecording(options);
+
+  // Thread k emits kCapacity + 3 + 2k events, so it drops 3 + 2k.
+  auto emit = [](int k) {
+    FASTFT_TRACE_SPAN("test/emitter");
+    for (int i = 0; i < kCapacity + 3 + 2 * k; ++i) {
+      obs::Emit(MakeDecisionEvent(i));
+    }
+  };
+  int tid_a = -1;
+  int tid_b = -1;
+  std::promise<void> a_registered;
+  std::promise<void> a_go;
+  std::thread a([&] {
+    tid_a = obs::RegisterThisThread("recorder-test-a");
+    EXPECT_EQ(obs::CurrentThreadId(), tid_a);
+    a_registered.set_value();
+    a_go.get_future().wait();
+    emit(0);
+  });
+  a_registered.get_future().wait();
+  std::thread b([&] {
+    tid_b = obs::RegisterThisThread("recorder-test-b");
+    EXPECT_EQ(obs::CurrentThreadId(), tid_b);
+    emit(1);  // B emits before A
+  });
+  b.join();
+  a_go.set_value();
+  a.join();
+  obs::StopRecording();
+  obs::StopTracing();
+
+  ASSERT_LT(tid_a, tid_b);
+  obs::DrainedEvents drained = obs::DrainRecordedEvents();
+  EXPECT_EQ(drained.dropped_by_tid, (std::map<int, int64_t>{{tid_a, 3},
+                                                            {tid_b, 5}}));
+  obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+  ASSERT_GT(snapshot.threads.size(), static_cast<size_t>(tid_b));
+  for (auto [tid, name] :
+       {std::pair<int, const char*>{tid_a, "recorder-test-a"},
+        {tid_b, "recorder-test-b"}}) {
+    const obs::ThreadTrace& trace = snapshot.threads[tid];
+    EXPECT_EQ(trace.tid, tid);
+    EXPECT_EQ(trace.thread_name, name);
+    ASSERT_EQ(trace.events.size(), 1u) << name;
+    EXPECT_STREQ(trace.events[0].name, "test/emitter");
+  }
 }
 
 TEST_F(RecorderTest, ResumeKeepsBlocksBeforeTheCursor) {

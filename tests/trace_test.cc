@@ -10,6 +10,7 @@
 #include <future>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,6 +99,36 @@ TEST_F(TraceTest, RingDropsOldestBeyondCapacity) {
   EXPECT_STREQ(mine->events[3].name, "t/9");
   for (size_t i = 1; i < mine->events.size(); ++i) {
     EXPECT_GE(mine->events[i].start_ns, mine->events[i - 1].start_ns);
+  }
+}
+
+// Restarting after a wrapped session resets each ring by `count = 0` (and a
+// resize when the capacity changes): the stale slots of the wrapped session
+// must stay unreachable, whether the ring grows or shrinks.
+TEST_F(TraceTest, RestartAfterWrappedSessionKeepsOnlyNewSpans) {
+  static const char* old_names[12] = {"o/0", "o/1", "o/2", "o/3",
+                                      "o/4", "o/5", "o/6", "o/7",
+                                      "o/8", "o/9", "o/10", "o/11"};
+  static const char* new_names[3] = {"n/0", "n/1", "n/2"};
+  for (auto [wrapped_capacity, restart_capacity] :
+       {std::pair<size_t, size_t>{4, 8}, {8, 4}}) {
+    obs::TraceOptions options;
+    options.ring_capacity = wrapped_capacity;
+    obs::StartTracing(options);
+    for (const char* name : old_names) obs::TraceSpan span(name);
+    options.ring_capacity = restart_capacity;
+    obs::StartTracing(options);
+    for (const char* name : new_names) obs::TraceSpan span(name);
+    obs::StopTracing();
+
+    const obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+    const obs::ThreadTrace& mine = snapshot.threads.at(obs::CurrentThreadId());
+    ASSERT_EQ(mine.events.size(), 3u)
+        << wrapped_capacity << " -> " << restart_capacity;
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_STREQ(mine.events[i].name, new_names[i]);
+    }
+    EXPECT_EQ(mine.dropped, 0);
   }
 }
 

@@ -36,66 +36,88 @@
 # episode stream flushes + fastft_inspect decode) sees the race detector
 # as well. (Every leg's ctest pass already includes the `check_crash` and
 # `check_record` cases against that tree's sanitized CLI.)
-set -euo pipefail
+#
+# Every step of every leg runs even when an earlier one fails, so one known
+# test failure cannot hide the race checks behind it. Failed steps are
+# listed at the end and the script exits non-zero if there are any. A leg
+# whose build fails skips its remaining steps, which are reported as
+# failed.
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ $# -gt 0 ]]; then SANITIZERS=("$@"); else SANITIZERS=(address undefined thread scalar); fi
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+FAILED=()
+
+# step NAME COMMAND...: runs one step and records its failure.
+step() {
+  local name="$1"
+  shift
+  echo "=== ${name} ==="
+  if "$@"; then return 0; fi
+  echo "=== FAILED: ${name} ==="
+  FAILED+=("${name}")
+  return 1
+}
+
+# in_dir DIR COMMAND...: runs COMMAND from DIR.
+in_dir() {
+  local dir="$1"
+  shift
+  (cd "${dir}" && "$@")
+}
 
 # Static analysis first: the lint + thread-safety annotation build +
 # clang-tidy + semantic analyzer (error discipline, include-layer DAG,
 # FP-determinism audit) catch whole-program discipline violations the
 # sanitizers can only hit dynamically (and only on exercised
-# interleavings). Cheap, so it gates every sanitizer run.
-echo "=== static checks (check_static.sh) ==="
-tools/check_static.sh
+# interleavings). Cheap, so it runs before every sanitizer run.
+step "static checks (check_static.sh)" tools/check_static.sh
 
 for SAN in "${SANITIZERS[@]}"; do
   BUILD_DIR="build-${SAN}"
+  CONFIGURE=(cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+             -DFASTFT_BUILD_BENCHMARKS=OFF -DFASTFT_BUILD_EXAMPLES=OFF)
   if [[ "${SAN}" == "scalar" ]]; then
     # Scalar-fallback leg: no sanitizer, vector kernels compiled out. The
     # suite's bit-identity tests must pass with the scalar reference alone.
     echo "=== scalar fallback: FASTFT_SIMD=OFF -> ${BUILD_DIR} ==="
-    cmake -B "${BUILD_DIR}" -S . \
-          -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DFASTFT_SIMD=OFF \
-          -DFASTFT_BUILD_BENCHMARKS=OFF \
-          -DFASTFT_BUILD_EXAMPLES=OFF
+    CONFIGURE+=(-DFASTFT_SIMD=OFF)
   elif [[ "${SAN}" == "address" ]]; then
     # The ASan leg doubles as the warnings-as-errors build: with
     # [[nodiscard]] on Status/Result and the factory entry points, a
     # silently dropped error fails this leg at compile time, before the
     # leak checker even runs.
     echo "=== sanitizer: ${SAN} (FASTFT_WERROR=ON) -> ${BUILD_DIR} ==="
-    cmake -B "${BUILD_DIR}" -S . \
-          -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DFASTFT_SANITIZE="${SAN}" \
-          -DFASTFT_WERROR=ON \
-          -DFASTFT_BUILD_BENCHMARKS=OFF \
-          -DFASTFT_BUILD_EXAMPLES=OFF
+    CONFIGURE+=(-DFASTFT_SANITIZE="${SAN}" -DFASTFT_WERROR=ON)
   else
     echo "=== sanitizer: ${SAN} -> ${BUILD_DIR} ==="
-    cmake -B "${BUILD_DIR}" -S . \
-          -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DFASTFT_SANITIZE="${SAN}" \
-          -DFASTFT_BUILD_BENCHMARKS=OFF \
-          -DFASTFT_BUILD_EXAMPLES=OFF
+    CONFIGURE+=(-DFASTFT_SANITIZE="${SAN}")
   fi
-  cmake --build "${BUILD_DIR}" -j "${JOBS}"
-  (cd "${BUILD_DIR}" && ctest --output-on-failure -j "${JOBS}")
+  if ! step "${SAN}: configure" "${CONFIGURE[@]}" ||
+     ! step "${SAN}: build" cmake --build "${BUILD_DIR}" -j "${JOBS}"; then
+    FAILED+=("${SAN}: remaining steps (not run: no build)")
+    continue
+  fi
+  step "${SAN}: ctest" in_dir "${BUILD_DIR}" \
+       ctest --output-on-failure -j "${JOBS}"
   if [[ "${SAN}" == "thread" ]]; then
-    echo "=== thread leg: batched estimation-scoring tests ==="
-    (cd "${BUILD_DIR}" && ctest --output-on-failure \
-        -R 'BatchScoring|EngineEstimation')
-    echo "=== thread leg: traced CLI run (check_trace.sh) ==="
-    tools/check_trace.sh "${BUILD_DIR}/tools/fastft"
-    echo "=== thread leg: kill-and-resume chaos harness (check_crash.sh) ==="
-    tools/check_crash.sh "${BUILD_DIR}/tools/fastft"
-    echo "=== thread leg: recorded CLI run (check_record.sh) ==="
-    tools/check_record.sh "${BUILD_DIR}/tools/fastft" \
-                          "${BUILD_DIR}/tools/fastft_inspect"
+    step "thread: batched estimation-scoring tests" in_dir "${BUILD_DIR}" \
+         ctest --output-on-failure -R 'BatchScoring|EngineEstimation'
+    step "thread: traced CLI run (check_trace.sh)" \
+         tools/check_trace.sh "${BUILD_DIR}/tools/fastft"
+    step "thread: kill-and-resume chaos harness (check_crash.sh)" \
+         tools/check_crash.sh "${BUILD_DIR}/tools/fastft"
+    step "thread: recorded CLI run (check_record.sh)" \
+         tools/check_record.sh "${BUILD_DIR}/tools/fastft" \
+                               "${BUILD_DIR}/tools/fastft_inspect"
   fi
 done
 
+if [[ ${#FAILED[@]} -gt 0 ]]; then
+  echo "check_sanitize: ${#FAILED[@]} step(s) failed:"
+  printf '  %s\n' "${FAILED[@]}"
+  exit 1
+fi
 echo "all sanitizer runs passed"

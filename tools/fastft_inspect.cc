@@ -5,6 +5,8 @@
 // Decodes a stream written by --record-out (common/recorder.h) and emits one
 // JSON document of exploration diagnostics:
 //   * stream        envelope summary + exact per-thread dropped counters
+//                   ("droppedEvents"), keyed by the same thread ids as the
+//                   Chrome trace's `tid` and the log's `T<n>` prefix
 //   * episodes      per-episode curves: novelty decay (the Eq. 6 ε_i weight
 //                   and the centered bonus actually paid), action entropy of
 //                   each cascading agent, mean chosen score and
@@ -249,6 +251,7 @@ std::string BuildDiagnostics(const std::string& record_path,
       << ", \"health\": " << health << ", \"episode_marks\": " << marks
       << ", \"droppedEvents\": {";
   bool first = true;
+  // Keys are the trace/log thread ids (common/ring.h's one registry).
   for (const auto& [tid, dropped] : stream.dropped_by_tid) {
     if (!first) out << ", ";
     first = false;
