@@ -1,12 +1,12 @@
 #include "common/logging.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/ring.h"
 #include "common/thread_annotations.h"
+#include "common/timer.h"
 
 namespace fastft {
 namespace {
@@ -33,13 +33,10 @@ const char* LevelName(LogLevel level) {
 
 /// Milliseconds since the first logging call (≈ process start: the origin
 /// is a function-local static, captured once, thread-safe). Log timestamps
-/// never feed computation, so the clock reads are exempt from the
-/// determinism lint.
+/// never feed computation.
 double MonotonicMs() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point origin = Clock::now();  // fastft-lint: allow(nondeterminism)
-  return std::chrono::duration<double, std::milli>(Clock::now() - origin)  // fastft-lint: allow(nondeterminism)
-      .count();
+  static const uint64_t origin_ns = obs::internal::NowNs();
+  return static_cast<double>(obs::internal::NowNs() - origin_ns) / 1e6;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Vectorized dense kernels under the deterministic contract.
 //
 // This is the one blessed home for SIMD intrinsics in the tree (enforced by
-// the raw-intrinsics lint rule): every caller goes through the dispatching
+// the raw-intrinsics analyzer rule): every caller goes through the dispatching
 // entry points below, which route to an AVX2 or NEON implementation when one
 // was compiled in (FASTFT_SIMD=ON) and the host supports it, and to the
 // scalar reference otherwise. The scalar and vector implementations of each

@@ -10,7 +10,7 @@
 // -Wthread-safety analysis prove lock discipline at compile time for every
 // path, including the ones no test exercises.
 //
-// Usage rules (enforced by tools/fastft_lint.py rule `raw-mutex`):
+// Usage rules (enforced by tools/fastft_analyze.py rule `raw-mutex`):
 //   * Protected state is declared `Mutex mu_;` + `T member FASTFT_GUARDED_BY(mu_);`
 //     — never a raw std::mutex.
 //   * Critical sections use `MutexLock lock(&mu_);` (RAII), or explicit

@@ -2,7 +2,7 @@
 
 #pragma once
 
-#include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -10,22 +10,28 @@
 
 namespace fastft {
 
+namespace obs::internal {
+
+/// Monotonic clock read in nanoseconds (absolute; the tracer and the
+/// recorder rebase onto the StartTracing origin). The tree's only clock
+/// read: WallTimer, log timestamps and trace spans all go through it, so
+/// the analyzer can keep clock reads out of scoring paths.
+uint64_t NowNs();
+
+}  // namespace obs::internal
+
 /// Simple wall-clock stopwatch.
 class WallTimer {
  public:
   WallTimer() { Restart(); }
-  // Measuring wall time is this class's purpose; every other call site must
-  // go through WallTimer so the lint can keep clock reads out of scoring
-  // paths.
-  void Restart() { start_ = Clock::now(); }  // fastft-lint: allow(nondeterminism)
+  void Restart() { start_ns_ = obs::internal::NowNs(); }
   /// Seconds elapsed since construction / last Restart().
   double Seconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();  // fastft-lint: allow(nondeterminism)
+    return static_cast<double>(obs::internal::NowNs() - start_ns_) / 1e9;
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start_;
+  uint64_t start_ns_ = 0;
 };
 
 /// Accumulates elapsed seconds into named buckets; used by the engine to

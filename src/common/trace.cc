@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <unordered_map>
@@ -160,13 +159,6 @@ Status WriteChromeTrace(const std::string& path) {
 }
 
 namespace internal {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void RecordSpan(const char* name, uint64_t start_ns, uint64_t end_ns) {
   Ring<SpanEvent>& ring = SpanRing();

@@ -26,6 +26,7 @@
 
 #include "common/ring.h"
 #include "common/status.h"
+#include "common/timer.h"
 
 namespace fastft {
 namespace obs {
@@ -106,10 +107,6 @@ std::string ChromeTraceJson(const TraceSnapshot& snapshot);
 Status WriteChromeTrace(const std::string& path);
 
 namespace internal {
-
-/// Monotonic clock read (absolute; the recorder rebases onto the
-/// StartTracing origin).
-uint64_t NowNs();
 
 /// Appends one span to the calling thread's ring (no-op unless tracing is
 /// active).

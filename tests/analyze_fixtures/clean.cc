@@ -1,6 +1,8 @@
 // fixture-dest: src/core/clean_analyze.cc
 // Disciplined error handling: propagation macros, ok()-guarded value
-// reads, index-order reductions. Fires nothing.
+// reads, index-order reductions, iteration over ordered containers only.
+// Fires nothing.
+#include <map>
 #include <vector>
 
 #include "common/status.h"
@@ -9,6 +11,8 @@ namespace fastft {
 
 Status PersistFixture();
 Result<int> FetchFixtureCount();
+
+std::map<int, double> ordered_scores;
 
 Status CleanCaller() {
   FASTFT_RETURN_NOT_OK(PersistFixture());
@@ -20,6 +24,9 @@ Status CleanCaller() {
   std::vector<double> values(static_cast<size_t>(count + other), 1.0);
   for (size_t i = 0; i < values.size(); ++i) {
     total += values[i];
+  }
+  for (const auto& [token, score] : ordered_scores) {
+    total += score;
   }
   return total >= 0.0 ? Status::OK() : Status::Internal("negative total");
 }

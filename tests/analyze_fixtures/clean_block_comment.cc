@@ -1,7 +1,7 @@
 // fixture-dest: src/core/clean_block_comment.cc
 // Must trigger: nothing. Every rule's trigger pattern appears only as
 // prose inside /* ... */ block comments — single-line, multi-line, and
-// mid-line — which strip_noise_lines must blank before rules match.
+// mid-line — which the tokenizer classifies as comments, not code.
 #include <map>
 
 namespace fastft {

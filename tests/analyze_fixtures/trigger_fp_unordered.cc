@@ -1,6 +1,7 @@
-// fixture-dest: src/nn/trig_fp_unordered.cc
+// fixture-dest: src/ml/trig_fp_unordered.cc
 // Compound FP accumulation driven by unordered-container iteration order
-// must fire [fp-unordered-accumulate].
+// must fire [fp-unordered-accumulate] (outside src/core and src/nn, where
+// the same loop is [unordered-iteration] instead).
 #include <unordered_map>
 
 namespace fastft {

@@ -3,11 +3,12 @@
 
 Builds a scratch tree from tests/analyze_fixtures/ (each fixture names its
 destination path in a `// fixture-dest:` header — `# fixture-dest:` for the
-CMake fixture; passes are path- and layer-scoped), runs the analyzer over
+CMake fixture; rules are path- and layer-scoped), runs the analyzer over
 it, and asserts:
 
   * every trigger_* fixture fires its expected rule (and only that rule),
   * the clean fixtures and the suppression fixtures fire nothing,
+  * an explicitly named clean file exits 0,
   * the real repository tree analyzes clean (exit 0),
   * the include cycle is reported exactly once (on its first member),
   * --list-rules names every rule and --dump-graph/--dump-index emit JSON.
@@ -38,18 +39,29 @@ EXPECTATIONS = {
     "trigger_cycle_a.h": "include-cycle",
     "trigger_cycle_b.h": None,
     "trigger_fp_reduction.cc": "fp-reduction",
+    "trigger_reasonless_allow.cc": "fp-reduction",
     "trigger_fp_unordered.cc": "fp-unordered-accumulate",
     "trigger_fp_flag_drift.cmake": "fp-flag-drift",
+    "trigger_nondeterminism.cc": "nondeterminism",
+    "trigger_unordered_iteration.cc": "unordered-iteration",
+    "trigger_unordered_multiline_for.cc": "unordered-iteration",
+    "trigger_raw_mutex.cc": "raw-mutex",
+    "trigger_raw_intrinsics.cc": "raw-intrinsics",
+    "trigger_check_user_input.cc": "check-user-input",
+    "trigger_pragma_once.h": "pragma-once",
     "stub_core_header.h": None,
     "clean.cc": None,
+    "clean_block_comment.cc": None,
+    "clean_raw_string.cc": None,
     "suppressed.cc": None,
-    "suppressed_layer.cc": None,
+    "suppressed_common.cc": None,
 }
 
 ALL_RULES = (
     "discarded-status", "unchecked-value", "layer-violation",
-    "include-cycle", "fp-reduction", "fp-unordered-accumulate",
-    "fp-flag-drift",
+    "include-cycle", "fp-reduction", "unordered-iteration",
+    "fp-unordered-accumulate", "fp-flag-drift", "nondeterminism",
+    "raw-mutex", "raw-intrinsics", "check-user-input", "pragma-once",
 )
 
 failures = []
@@ -113,6 +125,11 @@ def main():
         cycle_count = proc.stdout.count("[include-cycle]")
         check(cycle_count == 1,
               f"the include cycle is reported exactly once, got {cycle_count}")
+
+    # --- per-file invocation: clean file exits 0 ----------------------
+    proc = run_analyze("--root", FIXTURES, os.path.join(FIXTURES, "clean.cc"))
+    check(proc.returncode == 0,
+          f"explicit clean file exits 0, got {proc.returncode}:\n{proc.stdout}")
 
     # --- the real tree must be clean ----------------------------------
     proc = run_analyze("--root", REPO_ROOT)

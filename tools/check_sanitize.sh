@@ -68,9 +68,9 @@ in_dir() {
   (cd "${dir}" && "$@")
 }
 
-# Static analysis first: the lint + thread-safety annotation build +
-# clang-tidy + semantic analyzer (error discipline, include-layer DAG,
-# FP-determinism audit) catch whole-program discipline violations the
+# Static analysis first: the thread-safety annotation build + clang-tidy +
+# the analyzer (error discipline, include-layer DAG, FP-determinism audit,
+# project invariants) catch whole-program discipline violations the
 # sanitizers can only hit dynamically (and only on exercised
 # interleavings). Cheap, so it runs before every sanitizer run.
 step "static checks (check_static.sh)" tools/check_static.sh

@@ -1,24 +1,22 @@
 #!/usr/bin/env bash
 # Static-analysis gate: the compile-time complement to check_sanitize.sh.
 #
-# Four layers, strongest available toolchain wins:
-#   1. tools/fastft_lint.py        — project-invariant lint (always runs)
-#   2. FASTFT_THREAD_SAFETY build  — Clang -Wthread-safety -Werror over the
+# Three layers, strongest available toolchain wins:
+#   1. FASTFT_THREAD_SAFETY build  — Clang -Wthread-safety -Werror over the
 #      annotated Mutex/MutexLock sites, plus the negative-compile assertion
 #      in tools/check_annotations.sh (both skip without a Clang toolchain)
-#   3. clang-tidy                  — curated .clang-tidy profile over src/
+#   2. clang-tidy                  — curated .clang-tidy profile over src/
 #      via the exported compilation database (skips without clang-tidy)
-#   4. tools/fastft_analyze.py     — semantic cross-file passes: error
-#      discipline over the Status/Result index, the include-layer DAG, and
-#      the FP-determinism audit (always runs)
+#   3. tools/fastft_analyze.py     — tokenizer-backed passes: error
+#      discipline over the Status/Result index, the include-layer DAG, the
+#      FP-determinism audit and the project invariants (always runs)
 #
 #   $ tools/check_static.sh           # all layers
-#   $ tools/check_static.sh lint      # just the project lint
-#   $ tools/check_static.sh analyze   # just the semantic analyzer
+#   $ tools/check_static.sh analyze   # just the analyzer
 #
 # Layers that cannot run on this machine print SKIP and do not fail the
-# gate; the Python layers (1 and 4) have no toolchain dependency and are
-# never skipped; layers that run must pass.
+# gate; the Python layer (3) has no toolchain dependency and is never
+# skipped; layers that run must pass.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,21 +25,13 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 FAIL=0
 
 if [[ "${ONLY}" == "analyze" ]]; then
-  echo "=== static layer 4: fastft_analyze.py ==="
+  echo "=== static layer 3: fastft_analyze.py ==="
   if python3 tools/fastft_analyze.py; then
     echo "fastft_analyze: clean"
     exit 0
   fi
   exit 1
 fi
-
-echo "=== static layer 1: fastft_lint.py ==="
-if python3 tools/fastft_lint.py; then
-  echo "fastft_lint: clean"
-else
-  FAIL=1
-fi
-[[ "${ONLY}" == "lint" ]] && exit "${FAIL}"
 
 CLANGXX="${CLANGXX:-}"
 if [[ -z "${CLANGXX}" ]]; then
@@ -54,7 +44,7 @@ if [[ -z "${CLANGXX}" ]]; then
   done
 fi
 
-echo "=== static layer 2: thread-safety annotations ==="
+echo "=== static layer 1: thread-safety annotations ==="
 if [[ -n "${CLANGXX}" ]]; then
   BUILD_DIR="build-static"
   if cmake -B "${BUILD_DIR}" -S . \
@@ -75,7 +65,7 @@ if ! tools/check_annotations.sh; then
   FAIL=1
 fi
 
-echo "=== static layer 3: clang-tidy ==="
+echo "=== static layer 2: clang-tidy ==="
 CLANG_TIDY="${CLANG_TIDY:-}"
 if [[ -z "${CLANG_TIDY}" ]]; then
   for candidate in clang-tidy clang-tidy-19 clang-tidy-18 clang-tidy-17 \
@@ -107,7 +97,7 @@ else
   echo "clang-tidy: SKIP (not installed)"
 fi
 
-echo "=== static layer 4: fastft_analyze.py ==="
+echo "=== static layer 3: fastft_analyze.py ==="
 if python3 tools/fastft_analyze.py; then
   echo "fastft_analyze: clean"
 else

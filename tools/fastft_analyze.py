@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Semantic multi-pass static analyzer for the fastft tree.
+"""Static analyzer for the fastft tree: the one checker behind the
+determinism contract.
 
-Where tools/fastft_lint.py greps single lines, this analyzer lexes every
-translation unit once with a real tokenizer (comments, string literals, raw
-strings, and preprocessor lines are classified exactly once, not per-regex),
-builds a cross-file declaration index and the project #include graph from
-the token streams, and then runs three semantic passes:
+It lexes every translation unit once with a real tokenizer (comments, string
+literals, raw strings, and preprocessor lines are classified exactly once,
+not per-regex), builds a cross-file declaration index and the project
+#include graph from the token streams, and then runs four passes:
 
   error-discipline   Every function returning Status or Result<T> anywhere
                      in the tree is indexed by name. Call sites that discard
@@ -33,28 +33,48 @@ the token streams, and then runs three semantic passes:
   FP determinism     Reassociation-prone floating-point reductions outside
                      the blessed kernel files (src/common/simd_kernels*):
                      std::accumulate / std::reduce / std::inner_product are
-                     [fp-reduction]; compound accumulation (`+=` and
-                     friends) inside a range-for over an unordered container
-                     is [fp-unordered-accumulate] (hash order would feed the
-                     summation order). CMakeLists.txt files are scanned for
-                     flag drift: -ffast-math / -funsafe-math-optimizations /
-                     -Ofast / -ffp-contract=fast anywhere, or a top-level
+                     [fp-reduction]. A for-loop over a container declared
+                     unordered in the same file (range-for over it, or an
+                     iterator loop from its begin()) is [unordered-iteration]
+                     on the `for` line in the scoring paths src/core and
+                     src/nn, where any hash-order walk can leak into scores;
+                     elsewhere each compound accumulation (`+=` and friends)
+                     in its body is [fp-unordered-accumulate]. One loop, one
+                     finding, one suppression. CMakeLists.txt files are
+                     scanned for flag drift: -ffast-math /
+                     -funsafe-math-optimizations / -Ofast /
+                     -ffp-contract=fast anywhere, or a top-level
                      CMakeLists.txt missing -ffp-contract=off, are
                      [fp-flag-drift] (the SIMD bit-identity contract forbids
                      FMA contraction, DESIGN.md "SIMD kernels").
 
-Suppress a single line with a trailing comment naming the rule and, by
-convention, the reason:
+  invariants         Token-level project conventions, macro bodies included:
+                     [nondeterminism] std::rand / srand / random_device /
+                     time(nullptr) / argless clock-now reads (the one clock
+                     read, obs::internal::NowNs in src/common/timer.cc,
+                     carries the tree's only suppression for it);
+                     [raw-mutex] the std::mutex family outside
+                     src/common/thread_annotations.h; [raw-intrinsics] SIMD
+                     intrinsics or their headers outside
+                     src/common/simd_kernels*; [check-user-input]
+                     FASTFT_CHECK* in the input-parsing layers
+                     (src/data/csv*, src/core/expression_parser*, tools/);
+                     [pragma-once] a header without #pragma once.
+
+Suppress a single line with a trailing comment naming the rule(s) and a
+non-empty reason; an allow() without a reason suppresses nothing:
 
     (void)MaybeFlush();  // fastft-analyze: allow(discarded-status): best-effort
 
 (in CMake files: `# fastft-analyze: allow(fp-flag-drift): reason`).
 
-Findings print as "path:line: [rule-id] message"; exit status is 0 for a
-clean tree, 1 when there are findings, 2 on usage errors. Run from anywhere:
+Findings print as "path:line: [rule-id] message", one per line and rule;
+exit status is 0 for a clean tree, 1 when there are findings, 2 on usage
+errors. Run from anywhere:
 
     python3 tools/fastft_analyze.py               # analyze src/ tools/ bench/
     python3 tools/fastft_analyze.py --root DIR    # analyze another tree
+    python3 tools/fastft_analyze.py file.cc ...   # report on specific files
     python3 tools/fastft_analyze.py --list-rules
     python3 tools/fastft_analyze.py --dump-graph  # include graph as JSON
     python3 tools/fastft_analyze.py --dump-index  # declaration index as JSON
@@ -70,9 +90,18 @@ SCAN_DIRS = ("src", "tools", "bench")
 SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
 
 SUPPRESS_RE = re.compile(
-    r"fastft-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
+    r"fastft-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\):\s*\S")
 
 DEFAULT_ALLOWLIST = os.path.join("tools", "fastft_analyze_allowlist.json")
+
+
+def allowed_rules(comment):
+    """The rules a comment's `fastft-analyze: allow(<rule>[, <rule>]):
+    <reason>` suppresses; without a reason it suppresses nothing."""
+    match = SUPPRESS_RE.search(comment)
+    if not match:
+        return frozenset()
+    return frozenset(r.strip() for r in match.group(1).split(","))
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -113,9 +142,8 @@ class SourceFile:
         self._lex(text)
 
     def _add_comment(self, line, comment_text):
-        match = SUPPRESS_RE.search(comment_text)
-        if match:
-            rules = frozenset(r.strip() for r in match.group(1).split(","))
+        rules = allowed_rules(comment_text)
+        if rules:
             self.suppressions[line] = self.suppressions.get(
                 line, frozenset()) | rules
 
@@ -231,6 +259,17 @@ class SourceFile:
 
     def suppressed(self, line, rule):
         return rule in self.suppressions.get(line, frozenset())
+
+    def code_tokens(self):
+        """The token stream with each preprocessor directive followed by its
+        own tokens, so a rule also sees the code inside a macro body."""
+        out = []
+        for tok in self.tokens:
+            out.append(tok)
+            if tok.kind == "pp":
+                out.extend(Token(sub.kind, sub.value, sub.line + tok.line - 1)
+                           for sub in SourceFile("", tok.value[1:]).tokens)
+        return out
 
 
 class Finding:
@@ -699,14 +738,15 @@ def check_layering(root, sources, allowlist):
 # ---------------------------------------------------------------------------
 
 FP_REDUCERS = {"accumulate", "reduce", "inner_product", "transform_reduce"}
-FP_EXEMPT_PREFIX = os.path.join("src", "common", "simd_kernels")
+KERNEL_PREFIX = os.path.join("src", "common", "simd_kernels")
 UNORDERED_KINDS = {"unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset"}
 COMPOUND_ASSIGN = {"+=", "-=", "*=", "/="}
+SCORING_PREFIXES = tuple(os.path.join("src", d) + os.sep for d in ("core", "nn"))
 
 
 def check_fp_determinism(src):
-    if src.rel_path.startswith(FP_EXEMPT_PREFIX):
+    if src.rel_path.startswith(KERNEL_PREFIX):
         return
     tokens = src.tokens
     n = len(tokens)
@@ -722,8 +762,15 @@ def check_fp_determinism(src):
                 f"std::{tok.value} owns the combination order of a "
                 "floating-point reduction; write an index-order loop (or a "
                 "fastft::simd kernel) so the summation order is pinned")
-    # Range-for over a known-unordered container with compound accumulation
-    # in the body: hash order feeds the summation order.
+
+
+def unordered_loops(tokens):
+    """Yields (for token, container name, body tokens) for every for-loop
+    over a container declared unordered in this file: a range-for whose
+    range expression ends in its name, or an iterator loop whose header
+    calls its begin()/cbegin(). The one unordered-container scan behind
+    both [unordered-iteration] and [fp-unordered-accumulate]."""
+    n = len(tokens)
     unordered_vars = set()
     for i in range(n):
         if tokens[i].kind == "id" and tokens[i].value in UNORDERED_KINDS:
@@ -736,56 +783,60 @@ def check_fp_determinism(src):
                 unordered_vars.add(tokens[j].value)
     if not unordered_vars:
         return
-    for i in range(n):
-        if tokens[i].kind != "id" or tokens[i].value != "for":
-            continue
-        if i + 1 >= n or tokens[i + 1].value != "(":
+    for i in range(n - 1):
+        if tokens[i].value != "for" or tokens[i + 1].value != "(":
             continue
         close = _match_paren(tokens, i + 1)
         if close == -1:
             continue
         head = tokens[i + 2:close]
-        colon_at = next((k for k, t in enumerate(head) if t.value == ":"
-                         and (k == 0 or head[k - 1].value != ":")
-                         and (k + 1 >= len(head) or
-                              head[k + 1].value != ":")), None)
-        if colon_at is None:
+        names = {t.value for k, t in enumerate(head[:-3])
+                 if t.kind == "id" and head[k + 1].value in (".", "->")
+                 and head[k + 2].value in ("begin", "cbegin")
+                 and head[k + 3].value == "("}
+        values = [t.value for t in head]
+        if ":" in values and ";" not in values and head[-1].kind == "id":
+            names.add(head[-1].value)
+        name = min(names & unordered_vars, default=None)
+        if name is None:
             continue
-        range_names = {t.value for t in head[colon_at + 1:] if t.kind == "id"}
-        if not (range_names & unordered_vars):
-            continue
-        # Scan the loop body (single statement or brace block).
+        # The body: a brace block or a single statement.
         j = close + 1
-        if j < n and tokens[j].value == "{":
-            depth = 0
-            while j < n:
-                if tokens[j].value == "{":
-                    depth += 1
-                elif tokens[j].value == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                if tokens[j].value in COMPOUND_ASSIGN:
-                    yield tokens[j].line, "fp-unordered-accumulate", (
-                        "compound accumulation inside a range-for over "
-                        f"unordered container "
-                        f"'{sorted(range_names & unordered_vars)[0]}': hash "
-                        "order is implementation-defined and becomes the "
-                        "summation order; iterate sorted keys instead")
-                j += 1
-        else:
-            while j < n and tokens[j].value != ";":
-                if tokens[j].value in COMPOUND_ASSIGN:
-                    yield tokens[j].line, "fp-unordered-accumulate", (
-                        "compound accumulation inside a range-for over an "
-                        "unordered container; iterate sorted keys instead")
-                j += 1
+        depth = 0
+        while j < n:
+            v = tokens[j].value
+            depth += (v == "{") - (v == "}")
+            if depth == 0 and v in (";", "}"):
+                break
+            j += 1
+        yield tokens[i], name, tokens[close + 1:j + 1]
+
+
+def check_unordered_loops(src):
+    """One finding per hash-order loop: [unordered-iteration] on the `for`
+    line in the scoring paths, else [fp-unordered-accumulate] on each
+    compound accumulation in its body."""
+    if src.rel_path.startswith(KERNEL_PREFIX):
+        return
+    scoring = src.rel_path.startswith(SCORING_PREFIXES)
+    for for_tok, name, body in unordered_loops(src.tokens):
+        if scoring:
+            yield for_tok.line, "unordered-iteration", (
+                f"iterating unordered container '{name}' in a scoring path: "
+                "hash order is implementation-defined; copy keys into a "
+                "sorted container first")
+            continue
+        for tok in body:
+            if tok.value in COMPOUND_ASSIGN:
+                yield tok.line, "fp-unordered-accumulate", (
+                    "compound accumulation inside a loop over unordered "
+                    f"container '{name}': hash order is "
+                    "implementation-defined and becomes the summation "
+                    "order; iterate sorted keys instead")
 
 
 CMAKE_BAD_FLAGS = ("-ffast-math", "-funsafe-math-optimizations", "-Ofast",
                    "-ffp-contract=fast", "-ffp-contract=on")
-CMAKE_SUPPRESS_RE = re.compile(
-    r"#\s*fastft-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 
 def check_cmake_flags(root):
@@ -804,11 +855,8 @@ def check_cmake_flags(root):
             lines = f.read().splitlines()
         has_contract_off = False
         for lineno, line in enumerate(lines, start=1):
-            suppressed = set()
-            m = CMAKE_SUPPRESS_RE.search(line)
-            if m:
-                suppressed = {r.strip() for r in m.group(1).split(",")}
-            code = line.split("#", 1)[0]
+            code, _, comment = line.partition("#")
+            suppressed = allowed_rules(comment)
             if "-ffp-contract=off" in code:
                 has_contract_off = True
             for flag in CMAKE_BAD_FLAGS:
@@ -819,13 +867,102 @@ def check_cmake_flags(root):
                         "ISAs and thread counts (DESIGN.md 'SIMD kernels')")
         if rel == "CMakeLists.txt" and not has_contract_off:
             first = lines[0] if lines else ""
-            m = CMAKE_SUPPRESS_RE.search(first)
-            if not (m and "fp-flag-drift" in
-                    {r.strip() for r in m.group(1).split(",")}):
+            if "fp-flag-drift" not in allowed_rules(first.partition("#")[2]):
                 yield rel, 1, "fp-flag-drift", (
                     "top-level CMakeLists.txt does not set -ffp-contract=off; "
                     "without it FMA contraction silently differs between "
                     "scalar and SIMD builds")
+
+
+# ---------------------------------------------------------------------------
+# Pass 4: project invariants
+# ---------------------------------------------------------------------------
+
+USER_INPUT_PREFIXES = (
+    os.path.join("src", "data", "csv"),
+    os.path.join("src", "core", "expression_parser"),
+    "tools" + os.sep,
+)
+RAW_MUTEX_EXEMPT = os.path.join("src", "common", "thread_annotations.h")
+RAW_MUTEX_TYPES = {
+    "mutex", "recursive_mutex", "recursive_timed_mutex", "timed_mutex",
+    "shared_mutex", "shared_timed_mutex", "lock_guard", "unique_lock",
+    "scoped_lock", "shared_lock", "condition_variable",
+    "condition_variable_any",
+}
+CLOCK_RE = re.compile(r"[A-Za-z_]\w*_clock|Clock")
+INTRINSIC_RE = re.compile(
+    r"_mm(?:256|512)?_[a-z0-9_]+"
+    r"|v(?:ld1|st1|add|sub|mul|fma|mla|dup|get|set)q?_[a-z0-9_]+")
+INTRINSIC_HEADER_RE = re.compile(
+    r"#\s*include\s*[<\"](?:immintrin|arm_neon|x86intrin|xmmintrin|emmintrin|"
+    r"pmmintrin|tmmintrin|smmintrin|nmmintrin|avxintrin|avx2intrin)\.h[>\"]")
+CHECK_MACRO_RE = re.compile(r"FASTFT_CHECK(?:_[A-Z]+)*")
+PRAGMA_ONCE_RE = re.compile(r"#\s*pragma\s+once")
+
+
+def _nondeterminism_source(v):
+    """v: the values of up to five tokens; returns why they start an
+    unseeded-randomness or clock read, else None."""
+    if v[:3] == ["std", "::", "rand"]:
+        return "std::rand is unseeded global state"
+    if v[:2] == ["srand", "("]:
+        return "srand mutates global RNG state"
+    if v[0] == "random_device":
+        return "std::random_device is nondeterministic entropy"
+    if v[:2] == ["time", "("] and v[2:4] in (
+            ["nullptr", ")"], ["NULL", ")"], ["0", ")"]):
+        return "time(nullptr) reads the wall clock"
+    if CLOCK_RE.fullmatch(v[0]) and v[1:5] == ["::", "now", "(", ")"]:
+        return "argless clock-now read"
+    return None
+
+
+def check_invariants(src):
+    rel = src.rel_path
+    kernel = rel.startswith(KERNEL_PREFIX)
+    if rel.endswith(".h") and not any(
+            t.kind == "pp" and PRAGMA_ONCE_RE.fullmatch(t.value)
+            for t in src.tokens):
+        yield 1, "pragma-once", "header is missing #pragma once"
+    tokens = src.code_tokens()
+    values = [t.value for t in tokens]
+    for i, tok in enumerate(tokens):
+        if tok.kind == "pp" and not kernel and \
+                INTRINSIC_HEADER_RE.search(tok.value):
+            yield tok.line, "raw-intrinsics", (
+                f"'{tok.value}' pulls SIMD intrinsics in outside the blessed "
+                "kernel files; call the fastft::simd entry points "
+                "(src/common/simd_kernels.h) so the bit-identity contract "
+                "and per-TU ISA flags stay enforceable")
+        if tok.kind != "id":
+            continue
+        why = _nondeterminism_source(values[i:i + 5])
+        if why:
+            yield tok.line, "nondeterminism", (
+                f"{why}; derive randomness from a seeded fastft::Rng and "
+                "time from WallTimer or FASTFT_TRACE_SPAN, which read the "
+                "one clock (obs::internal::NowNs, src/common/timer.h)")
+        if values[i:i + 2] == ["std", "::"] and i + 2 < len(values) and \
+                values[i + 2] in RAW_MUTEX_TYPES and rel != RAW_MUTEX_EXEMPT:
+            yield tok.line, "raw-mutex", (
+                f"std::{values[i + 2]} bypasses the annotated wrappers; use "
+                "fastft::common::Mutex / MutexLock / CondVar "
+                "(src/common/thread_annotations.h) so -Wthread-safety can "
+                "check the lock discipline")
+        if values[i + 1:i + 2] != ["("]:
+            continue
+        if not kernel and INTRINSIC_RE.fullmatch(tok.value):
+            yield tok.line, "raw-intrinsics", (
+                f"'{tok.value}(' is a raw SIMD intrinsic outside the blessed "
+                "kernel files; call the fastft::simd entry points "
+                "(src/common/simd_kernels.h) so the bit-identity contract "
+                "and per-TU ISA flags stay enforceable")
+        if rel.startswith(USER_INPUT_PREFIXES) and \
+                CHECK_MACRO_RE.fullmatch(tok.value):
+            yield tok.line, "check-user-input", (
+                "CHECK in an input-parsing layer aborts on malformed user "
+                "input; return a Status (common/status.h) instead")
 
 
 # ---------------------------------------------------------------------------
@@ -843,10 +980,20 @@ RULES = [
     ("include-cycle", "cycle in the project #include graph"),
     ("fp-reduction",
      "std::accumulate/reduce/inner_product outside src/common/simd_kernels*"),
+    ("unordered-iteration",
+     "hash-order loop in the src/core and src/nn scoring paths"),
     ("fp-unordered-accumulate",
-     "FP compound accumulation over unordered-container iteration"),
+     "FP compound accumulation in a hash-order loop elsewhere"),
     ("fp-flag-drift",
      "-ffast-math family in CMake, or missing -ffp-contract=off"),
+    ("nondeterminism",
+     "unseeded randomness / clock reads outside the one clock read"),
+    ("raw-mutex", "raw std::mutex family bypassing the annotated wrappers"),
+    ("raw-intrinsics",
+     "SIMD intrinsics outside the blessed src/common/simd_kernels* files"),
+    ("check-user-input",
+     "CHECK on user input in parsing layers (must return Status)"),
+    ("pragma-once", "headers must contain #pragma once"),
 ]
 
 
@@ -940,6 +1087,7 @@ def main(argv):
         return 0
 
     findings = []
+    seen = set()
 
     def emit(rel, line, rule, message):
         src = sources.get(rel)
@@ -947,12 +1095,16 @@ def main(argv):
             return
         if rel not in report_rels and not rel.endswith("CMakeLists.txt"):
             return
-        findings.append(Finding(rel, line, rule, message))
+        if (rel, line, rule) not in seen:
+            seen.add((rel, line, rule))
+            findings.append(Finding(rel, line, rule, message))
 
     for rel, src in sorted(sources.items()):
+        for check in (check_fp_determinism, check_unordered_loops,
+                      check_invariants):
+            for line, rule, message in check(src):
+                emit(rel, line, rule, message)
         for line, rule, message in check_error_discipline(src, index):
-            emit(rel, line, rule, message)
-        for line, rule, message in check_fp_determinism(src):
             emit(rel, line, rule, message)
 
     for rel, line, rule, message in check_layering(root, sources, allowlist):
