@@ -6,6 +6,7 @@
 // that amortizes slowly; FastFT grows the slowest thanks to the predictor.
 
 #include "bench_util.h"
+#include "common/timer.h"
 #include "data/synthetic.h"
 
 namespace fastft {

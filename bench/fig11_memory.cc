@@ -65,12 +65,12 @@ int main_impl() {
   double extra_kib = static_cast<double>(predictor.ParameterBytes() +
                                          predictor.ActivationBytes(192)) /
                      1024.0;
-  double saved = r_without.times.Get("evaluation") -
-                 r_with.times.Get("evaluation");
+  double saved = 1e-9 * r_without.times.evaluation_ns -
+                 1e-9 * r_with.times.evaluation_ns;
   std::printf("  predictor memory: %.1f KiB\n", extra_kib);
   std::printf("  evaluation time saved: %.2f s (%.2f -> %.2f)\n", saved,
-              r_without.times.Get("evaluation"),
-              r_with.times.Get("evaluation"));
+              1e-9 * r_without.times.evaluation_ns,
+              1e-9 * r_with.times.evaluation_ns);
 
   bench::ShapeCheck(lstm_ratio < 0.6 * transformer_ratio,
                     "recurrent predictor memory grows much slower with "

@@ -34,7 +34,7 @@ int main_impl() {
       // optimization spent training the sequence models; optimization also
       // contains agent updates, identical across variants, so the
       // difference is attributable to the backbone.
-      double t = r.times.Get("estimation") + r.times.Get("optimization");
+      double t = 1e-9 * (r.times.estimation_ns + r.times.optimization_ns);
       std::printf("%-24s %10.3f %16.2f\n", variant_names[b], r.best_score, t);
       std::fflush(stdout);
       scores[b] += r.best_score / 2.0;

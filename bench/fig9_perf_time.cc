@@ -6,6 +6,7 @@
 // iterative-feedback baselines at equal-or-better quality.
 
 #include "bench_util.h"
+#include "common/timer.h"
 
 namespace fastft {
 namespace {

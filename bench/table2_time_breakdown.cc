@@ -30,9 +30,9 @@ Breakdown RunVariant(const Dataset& dataset, bool use_predictor,
   FastFtEngine engine(cfg);
   EngineResult r = engine.Run(dataset).ValueOrDie();
   Breakdown b;
-  b.optimization = r.times.Get("optimization") / episodes;
-  b.estimation = r.times.Get("estimation") / episodes;
-  b.evaluation = r.times.Get("evaluation") / episodes;
+  b.optimization = 1e-9 * r.times.optimization_ns / episodes;
+  b.estimation = 1e-9 * r.times.estimation_ns / episodes;
+  b.evaluation = 1e-9 * r.times.evaluation_ns / episodes;
   b.overall = b.optimization + b.estimation + b.evaluation;
   return b;
 }

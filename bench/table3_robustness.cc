@@ -151,7 +151,7 @@ int main_impl() {
   double ckpt_seconds = ckpt_timer.Seconds();
   std::remove(ckpt_path.c_str());
 
-  double ckpt_bucket = ckpt.times.Get("checkpoint");
+  double ckpt_bucket = 1e-9 * ckpt.times.checkpoint_ns;
   double bucket_pct =
       ckpt_seconds > 0.0 ? 100.0 * ckpt_bucket / ckpt_seconds : 0.0;
   double wall_pct = plain_seconds > 0.0

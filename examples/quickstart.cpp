@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
   std::printf("predictor estimations  : %lld\n",
               static_cast<long long>(result.predictor_estimations));
   std::printf("time: evaluation=%.2fs estimation=%.2fs optimization=%.2fs\n",
-              result.times.Get("evaluation"), result.times.Get("estimation"),
-              result.times.Get("optimization"));
+              1e-9 * result.times.evaluation_ns,
+              1e-9 * result.times.estimation_ns,
+              1e-9 * result.times.optimization_ns);
 
   std::printf("\nbest transformed feature set (%d columns):\n",
               result.best_dataset.NumFeatures());

@@ -84,21 +84,22 @@ void ThreadPool::WorkerLoop(int worker_index) {
 
 void ThreadPool::Enqueue(std::function<void()> task) {
   // Tasks are per-executor (one per ParallelFor worker / Submit call), not
-  // per loop index, so the two clock reads per task are noise next to the
-  // work they bracket.
+  // per loop index, so the three clock reads per task are noise next to the
+  // work they bracket. One start/end pair feeds both the run-time histogram
+  // and, when tracing was on at start, the pool/task span, so the two agree
+  // and neither charges the other's bookkeeping to the task.
   const uint64_t enqueue_ns = obs::internal::NowNs();
   auto instrumented = [task = std::move(task), enqueue_ns] {
     const PoolMetrics& metrics = Metrics();
+    const bool traced = obs::TracingActive();
     const uint64_t start_ns = obs::internal::NowNs();
     metrics.tasks->Increment();
     metrics.queue_wait_us->Observe(
         static_cast<double>(start_ns - enqueue_ns) / 1000.0);
-    {
-      FASTFT_TRACE_SPAN("pool/task");
-      task();
-    }
-    metrics.run_us->Observe(
-        static_cast<double>(obs::internal::NowNs() - start_ns) / 1000.0);
+    task();
+    const uint64_t end_ns = obs::internal::NowNs();
+    metrics.run_us->Observe(static_cast<double>(end_ns - start_ns) / 1000.0);
+    if (traced) obs::internal::RecordSpan("pool/task", start_ns, end_ns);
   };
   {
     MutexLock lock(&mu_);

@@ -1,12 +1,10 @@
-// Wall-clock timing utilities for the runtime experiments (Tables II, Fig. 9/10).
+// The clock read and a stopwatch. The engine's Table II phase split is not
+// kept here: phases are trace spans that sum into EngineResult::times
+// (common/trace.h, core/engine.h).
 
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-
-#include "common/thread_annotations.h"
 
 namespace fastft {
 
@@ -32,34 +30,6 @@ class WallTimer {
 
  private:
   uint64_t start_ns_ = 0;
-};
-
-/// Accumulates elapsed seconds into named buckets; used by the engine to
-/// report the Optimization / Estimation / Evaluation breakdown of Table II.
-///
-/// Thread-safe: Add may be called concurrently (e.g. from pool workers
-/// timing their share of a parallel evaluation) without losing updates.
-/// Note the Table II convention the engine follows: each bucket is timed
-/// once on the coordinating thread as wall-clock, so parallel fan-out
-/// *shrinks* a bucket rather than summing per-worker CPU time — worker code
-/// must not re-add time the coordinator already measures.
-class TimeBuckets {
- public:
-  TimeBuckets() = default;
-  // Copyable despite the mutex (EngineResult carries one by value); only
-  // the bucket map is copied.
-  TimeBuckets(const TimeBuckets& other);
-  TimeBuckets& operator=(const TimeBuckets& other);
-
-  void Add(const std::string& bucket, double seconds);
-  double Get(const std::string& bucket) const;
-  double Total() const;
-  void Clear();
-  std::map<std::string, double> buckets() const;
-
- private:
-  mutable common::Mutex mu_;
-  std::map<std::string, double> buckets_ FASTFT_GUARDED_BY(mu_);
 };
 
 }  // namespace fastft

@@ -116,25 +116,30 @@ void RecordSpan(const char* name, uint64_t start_ns, uint64_t end_ns);
 
 /// RAII span: records [construction, destruction) of the enclosing scope
 /// under `name`, which must outlive the trace session (string literals do).
+/// With an `elapsed_ns` sink the span reads the clock even while tracing is
+/// off and adds its duration there; while tracing, the same two clock reads
+/// become the span, so the sink is exactly the sum of the spans it records.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) {
-    if (TracingActive()) {
-      name_ = name;
+  explicit TraceSpan(const char* name, uint64_t* elapsed_ns = nullptr)
+      : name_(TracingActive() ? name : nullptr), elapsed_ns_(elapsed_ns) {
+    if (name_ != nullptr || elapsed_ns_ != nullptr) {
       start_ns_ = internal::NowNs();
     }
   }
   ~TraceSpan() {
-    if (name_ != nullptr) {
-      internal::RecordSpan(name_, start_ns_, internal::NowNs());
-    }
+    if (name_ == nullptr && elapsed_ns_ == nullptr) return;
+    const uint64_t end_ns = internal::NowNs();
+    if (elapsed_ns_ != nullptr) *elapsed_ns_ += end_ns - start_ns_;
+    if (name_ != nullptr) internal::RecordSpan(name_, start_ns_, end_ns);
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  const char* name_ = nullptr;  // nullptr = tracing was off at entry
+  const char* name_;  // nullptr = tracing was off at entry
+  uint64_t* elapsed_ns_;
   uint64_t start_ns_ = 0;
 };
 

@@ -25,11 +25,6 @@
 namespace fastft {
 namespace {
 
-constexpr char kOpt[] = "optimization";
-constexpr char kEst[] = "estimation";
-constexpr char kEval[] = "evaluation";
-constexpr char kCkpt[] = "checkpoint";
-
 struct EngineMetrics {
   obs::Counter* steps;
   obs::Counter* episodes;
@@ -264,32 +259,6 @@ EngineState::EngineState(const EngineConfig& config)
 
 namespace {
 
-// Times one phase of Run() with one clock read at entry and one at exit:
-// the difference lands in a Table II bucket of EngineResult::times and,
-// when tracing was on at entry, the same two stamps become a span. A null
-// span name times the bucket only.
-class PhaseGuard {
- public:
-  PhaseGuard(TimeBuckets* times, const char* bucket, const char* span)
-      : times_(times),
-        bucket_(bucket),
-        span_(span != nullptr && obs::TracingActive() ? span : nullptr),
-        start_ns_(obs::internal::NowNs()) {}
-  ~PhaseGuard() {
-    const uint64_t end_ns = obs::internal::NowNs();
-    times_->Add(bucket_, static_cast<double>(end_ns - start_ns_) * 1e-9);
-    if (span_ != nullptr) obs::internal::RecordSpan(span_, start_ns_, end_ns);
-  }
-  PhaseGuard(const PhaseGuard&) = delete;
-  PhaseGuard& operator=(const PhaseGuard&) = delete;
-
- private:
-  TimeBuckets* times_;
-  const char* bucket_;
-  const char* span_;  // nullptr = bucket only, or tracing was off at entry
-  uint64_t start_ns_;
-};
-
 FeatureSpaceConfig SpaceConfig(const EngineConfig& config,
                                const Dataset& dataset) {
   FeatureSpaceConfig fs = config.feature_space;
@@ -421,7 +390,7 @@ std::unique_ptr<EngineState> SetupOrResume(RunContext& ctx) {
 // budget expired mid-baseline, which is an interruption, not an error.
 Status Baseline(RunContext& ctx, EngineState& s, bool* interrupted) {
   EngineResult& result = s.result;
-  PhaseGuard phase(&result.times, kEval, "engine/evaluate");
+  obs::TraceSpan phase("engine/evaluate", &result.times.evaluation_ns);
   double base = ctx.evaluator.Evaluate(ctx.dataset);
   ++result.downstream_evaluations;
   Metrics().downstream_evaluations->Increment();
@@ -469,7 +438,8 @@ StepLocals SelectAction(RunContext& ctx, EngineState& s, int episode,
   Transition& t = st.t;
   int added = 0;
   {
-    PhaseGuard phase(&s.result.times, kOpt, "engine/select_action");
+    obs::TraceSpan phase("engine/select_action",
+                         &s.result.times.optimization_ns);
     std::vector<std::vector<int>> clusters =
         ClusterFeatures(space, config.clustering);
     std::vector<double> overall = FeatureSetState(space);
@@ -548,7 +518,7 @@ bool GuardEstimate(const RunContext& ctx, EngineState& s, const StepLocals& st,
 void Estimate(const RunContext& ctx, EngineState& s, StepLocals& st) {
   if (!s.run.components_ready) return;
   HealthReport& health = s.result.health;
-  PhaseGuard phase(&s.result.times, kEst, "engine/estimate");
+  obs::TraceSpan phase("engine/estimate", &s.result.times.estimation_ns);
   if (ctx.config.use_performance_predictor &&
       !health.predictor.quarantined()) {
     st.predicted = s.predictor->Predict(st.t.tokens);
@@ -623,7 +593,7 @@ bool Evaluate(RunContext& ctx, EngineState& s, StepLocals& st,
     st.v = st.predicted;
     return true;
   }
-  PhaseGuard phase(&s.result.times, kEval, "engine/evaluate");
+  obs::TraceSpan phase("engine/evaluate", &s.result.times.evaluation_ns);
   // One guarded batch: candidates fan out across the shared pool
   // (bit-identical to serial — every candidate's fold seeds are fixed),
   // while the fault point and every health-ladder decision run on this
@@ -689,7 +659,7 @@ double Reward(const RunContext& ctx, EngineState& s, StepLocals& st,
 // Memory + optimization (Algorithm 2 lines 15-18): store the transition with
 // its TD-error priority, then optimize from one replayed memory.
 void StoreAndOptimize(const RunContext& ctx, EngineState& s, StepLocals& st) {
-  PhaseGuard phase(&s.result.times, kOpt, "engine/optimize");
+  obs::TraceSpan phase("engine/optimize", &s.result.times.optimization_ns);
   double priority = s.policy->TdError(st.t);
   s.buffer.Add(std::move(st.t), priority);
   int index = s.buffer.SampleIndex(&s.rng, ctx.config.prioritized_replay);
@@ -705,10 +675,10 @@ void StoreAndOptimize(const RunContext& ctx, EngineState& s, StepLocals& st) {
 }
 
 // Fig. 14 metrics: distance of this step's embedding to the history and the
-// count of distinct expressions seen so far. Timed as estimation, untraced.
+// count of distinct expressions seen so far. Timed as estimation.
 void NoveltyMetrics(const RunContext& ctx, EngineState& s,
                     const StepLocals& st, StepTrace* trace) {
-  PhaseGuard phase(&s.result.times, kEst, nullptr);
+  obs::TraceSpan phase("engine/novelty_metrics", &s.result.times.estimation_ns);
   std::vector<std::vector<double>>& history = s.run.embedding_history;
   std::vector<double> embedding = s.novelty->TargetEmbedding(st.tokens);
   // The distances fan out over the pool; the min-reduction runs here in
@@ -782,7 +752,8 @@ void ColdStartTrain(const RunContext& ctx, EngineState& s, int episode) {
   const EngineConfig& config = ctx.config;
   const std::vector<SequenceRecord>& records = s.run.sequence_records;
   HealthReport& health = s.result.health;
-  PhaseGuard phase(&s.result.times, kOpt, "engine/coldstart_train");
+  obs::TraceSpan phase("engine/coldstart_train",
+                       &s.result.times.optimization_ns);
   Rng train_rng(DeriveSeed(config.seed, 31));
   if (config.use_performance_predictor) {
     double mse =
@@ -859,7 +830,7 @@ void FinetuneComponent(const RunContext& ctx, EngineState& s, int episode,
 // Algorithm 2's periodic finetune of both evaluation components on a
 // uniform sample of the replay memory.
 void Finetune(const RunContext& ctx, EngineState& s, int episode) {
-  PhaseGuard phase(&s.result.times, kOpt, "engine/finetune");
+  obs::TraceSpan phase("engine/finetune", &s.result.times.optimization_ns);
   std::vector<int> indices =
       s.buffer.UniformSampleIndices(ctx.config.finetune_batch, &s.rng);
   std::vector<SequenceRecord> batch;
@@ -884,7 +855,8 @@ void Finetune(const RunContext& ctx, EngineState& s, int episode) {
 
 void WriteSnapshot(RunContext& ctx, EngineState& s) {
   if (ctx.last_snapshot.empty()) return;
-  PhaseGuard phase(&s.result.times, kCkpt, "engine/checkpoint_write");
+  obs::TraceSpan phase("engine/checkpoint_write",
+                       &s.result.times.checkpoint_ns);
   // Kill sites for the chaos harness (tools/check_crash.sh): dying right
   // before or right after the atomic write must both leave a resumable
   // checkpoint on disk (the previous one, or this one).
@@ -937,7 +909,8 @@ void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
   s.run.next_episode = episode + 1;
   if (config.checkpoint_path.empty()) return;
   {
-    PhaseGuard phase(&result.times, kCkpt, "engine/checkpoint_serialize");
+    obs::TraceSpan phase("engine/checkpoint_serialize",
+                         &result.times.checkpoint_ns);
     ctx.last_snapshot =
         SerializeEngineState(config, s, ctx.last_snapshot.size());
   }

@@ -32,7 +32,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/timer.h"
 #include "core/agents.h"
 #include "core/clustering.h"
 #include "core/feature_space.h"
@@ -187,6 +186,19 @@ struct StepTrace {
   std::string top_new_feature;
 };
 
+/// Table II's wall-clock split of one run, in nanoseconds. Each field is
+/// exactly the summed duration of its engine phase spans (DESIGN.md §6):
+/// every timed phase opens one obs::TraceSpan with its bucket as the sink,
+/// on the thread that called Run().
+struct PhaseTimes {
+  uint64_t optimization_ns = 0;
+  uint64_t estimation_ns = 0;
+  uint64_t evaluation_ns = 0;
+  uint64_t checkpoint_ns = 0;
+
+  void Clear() { *this = PhaseTimes{}; }
+};
+
 struct EngineResult {
   double base_score = 0.0;
   double best_score = 0.0;
@@ -194,8 +206,8 @@ struct EngineResult {
   std::vector<StepTrace> trace;
   /// Best-so-far score after each episode (Fig. 7 convergence curves).
   std::vector<double> episode_best;
-  /// Wall-clock buckets: "optimization", "estimation", "evaluation".
-  TimeBuckets times;
+  /// Wall-clock phase split (Table II), summed from the phase spans.
+  PhaseTimes times;
   int64_t downstream_evaluations = 0;
   int64_t predictor_estimations = 0;
   /// Combined prefix-state cache counters of the estimation networks

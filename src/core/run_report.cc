@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "common/fault.h"
 #include "common/fs.h"
@@ -94,13 +95,21 @@ std::string RunReportJson(const Dataset& original,
     out << "  \"metrics\": " << result.metrics.ToJson() << ",\n";
   }
 
+  // Seconds, keys in name order; a bucket no phase charged is left out.
+  const PhaseTimes& times = result.times;
+  const std::pair<const char*, uint64_t> buckets[] = {
+      {"checkpoint", times.checkpoint_ns},
+      {"estimation", times.estimation_ns},
+      {"evaluation", times.evaluation_ns},
+      {"optimization", times.optimization_ns}};
   out << "  \"times\": {";
   bool first = true;
-  for (const auto& [bucket, seconds] : result.times.buckets()) {
+  for (const auto& [bucket, ns] : buckets) {
+    if (ns == 0) continue;
     if (!first) out << ", ";
     first = false;
-    out << "\"" << JsonEscape(bucket) << "\": ";
-    AppendNumber(out, seconds);
+    out << "\"" << bucket << "\": ";
+    AppendNumber(out, static_cast<double>(ns) * 1e-9);
   }
   out << "},\n";
 

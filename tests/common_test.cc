@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -274,51 +272,11 @@ TEST(StatsTest, CosineSimilarity) {
   EXPECT_DOUBLE_EQ(CosineSimilarity(a, zero), 0.0);
 }
 
-TEST(TimerTest, BucketsAccumulate) {
-  TimeBuckets buckets;
-  buckets.Add("a", 1.0);
-  buckets.Add("a", 0.5);
-  buckets.Add("b", 2.0);
-  EXPECT_DOUBLE_EQ(buckets.Get("a"), 1.5);
-  EXPECT_DOUBLE_EQ(buckets.Get("b"), 2.0);
-  EXPECT_DOUBLE_EQ(buckets.Get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(buckets.Total(), 3.5);
-  buckets.Clear();
-  EXPECT_DOUBLE_EQ(buckets.Total(), 0.0);
-}
-
 TEST(TimerTest, WallTimerAdvances) {
   WallTimer timer;
   volatile double sink = 0;
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(timer.Seconds(), 0.0);
-}
-
-// Regression: concurrent Add calls into the same bucket must lose no time
-// (the pre-locking map would drop or corrupt updates under ThreadSanitizer
-// and occasionally double-count via torn read-modify-writes).
-TEST(TimerTest, ConcurrentAddsLoseNothing) {
-  TimeBuckets buckets;
-  constexpr int kThreads = 4;
-  constexpr int kAddsPerThread = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&buckets] {
-      for (int i = 0; i < kAddsPerThread; ++i) {
-        buckets.Add("shared", 0.001);
-        buckets.Add("private", 0.002);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_NEAR(buckets.Get("shared"), kThreads * kAddsPerThread * 0.001, 1e-6);
-  EXPECT_NEAR(buckets.Get("private"), kThreads * kAddsPerThread * 0.002, 1e-6);
-  EXPECT_NEAR(buckets.Total(), kThreads * kAddsPerThread * 0.003, 1e-6);
-  // buckets() returns a consistent copy, not a reference into live state.
-  std::map<std::string, double> copy = buckets.buckets();
-  buckets.Clear();
-  EXPECT_EQ(copy.size(), 2u);
-  EXPECT_DOUBLE_EQ(buckets.Total(), 0.0);
 }
 
 // Consumes a log line left to right against its fixed layout.

@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "common/fault.h"
 #include "common/fs.h"
 #include "common/serial.h"
+#include "common/trace.h"
 #include "core/engine.h"
 #include "core/run_report.h"
 #include "data/dataset_zoo.h"
@@ -106,13 +108,56 @@ TEST(EngineTest, AblationFlagsRun) {
   }
 }
 
-TEST(EngineTest, TimeBucketsCoverRun) {
-  FastFtEngine engine(FastConfig());
-  EngineResult r = engine.Run(SmallDataset()).ValueOrDie();
-  EXPECT_GT(r.times.Get("evaluation"), 0.0);
-  EXPECT_GT(r.times.Get("optimization"), 0.0);
-  // Estimation bucket only active once components are trained.
-  EXPECT_GE(r.times.Get("estimation"), 0.0);
+// The phase spans are the run's one timing record: every Table II bucket of
+// EngineResult::times is exactly the summed duration of its phase spans,
+// including the Fig. 14 sweep and the checkpoint phases.
+TEST(EngineTest, PhaseTimesAreSpanSums) {
+  const std::string checkpoint =
+      ::testing::TempDir() + "/fastft_phase_times.ffcp";
+  const std::string trace =
+      ::testing::TempDir() + "/fastft_phase_times_trace.json";
+  EngineConfig cfg = FastConfig();
+  cfg.collect_novelty_metrics = true;
+  cfg.checkpoint_path = checkpoint;
+  cfg.trace_path = trace;
+  const Dataset dataset = SmallDataset();
+  EngineResult r = FastFtEngine(cfg).Run(dataset).ValueOrDie();
+  const obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+  std::remove(checkpoint.c_str());
+  std::remove(trace.c_str());
+  ASSERT_EQ(snapshot.TotalDropped(), 0);
+
+  const std::map<std::string, uint64_t PhaseTimes::*> bucket_of = {
+      {"engine/select_action", &PhaseTimes::optimization_ns},
+      {"engine/optimize", &PhaseTimes::optimization_ns},
+      {"engine/coldstart_train", &PhaseTimes::optimization_ns},
+      {"engine/finetune", &PhaseTimes::optimization_ns},
+      {"engine/estimate", &PhaseTimes::estimation_ns},
+      {"engine/novelty_metrics", &PhaseTimes::estimation_ns},
+      {"engine/evaluate", &PhaseTimes::evaluation_ns},
+      {"engine/checkpoint_serialize", &PhaseTimes::checkpoint_ns},
+      {"engine/checkpoint_write", &PhaseTimes::checkpoint_ns}};
+  PhaseTimes spans;
+  for (const obs::ThreadTrace& thread : snapshot.threads) {
+    for (const obs::SpanEvent& event : thread.events) {
+      auto it = bucket_of.find(event.name);
+      if (it != bucket_of.end()) spans.*(it->second) += event.duration_ns;
+    }
+  }
+  EXPECT_EQ(r.times.optimization_ns, spans.optimization_ns);
+  EXPECT_EQ(r.times.estimation_ns, spans.estimation_ns);
+  EXPECT_EQ(r.times.evaluation_ns, spans.evaluation_ns);
+  EXPECT_EQ(r.times.checkpoint_ns, spans.checkpoint_ns);
+  EXPECT_GT(r.times.optimization_ns, 0u);
+  EXPECT_GT(r.times.estimation_ns, 0u);
+  EXPECT_GT(r.times.evaluation_ns, 0u);
+  EXPECT_GT(r.times.checkpoint_ns, 0u);
+
+  // A cleared record renders as an empty section, as the benchmark's
+  // report digest relies on.
+  r.times.Clear();
+  EXPECT_NE(RunReportJson(dataset, r).find("\n  \"times\": {},\n"),
+            std::string::npos);
 }
 
 TEST(EngineTest, NoveltyMetricsCollectedOnDemand) {

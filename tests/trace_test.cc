@@ -48,6 +48,38 @@ TEST_F(TraceTest, DisabledRecordsNothing) {
   EXPECT_EQ(CountSpans(snapshot, "test/disabled"), 0);
 }
 
+// A span with an elapsed sink times its scope with tracing off too; with
+// tracing on, the span it records is exactly what it adds to the sink.
+TEST_F(TraceTest, ElapsedSinkMatchesRecordedSpan) {
+  ASSERT_FALSE(obs::TracingActive());
+  const int64_t before = obs::SnapshotTrace().TotalEvents();
+  uint64_t elapsed_ns = 0;
+  {
+    obs::TraceSpan span("test/sink", &elapsed_ns);
+    volatile double sink = 0;
+    for (int i = 0; i < 10000; ++i) sink = sink + i;
+  }
+  EXPECT_GT(elapsed_ns, 0u);
+  EXPECT_EQ(obs::SnapshotTrace().TotalEvents(), before);
+
+  const uint64_t untraced_ns = elapsed_ns;
+  obs::StartTracing();
+  {
+    obs::TraceSpan span("test/sink", &elapsed_ns);
+    volatile double sink = 0;
+    for (int i = 0; i < 10000; ++i) sink = sink + i;
+  }
+  obs::StopTracing();
+  obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+  ASSERT_EQ(snapshot.TotalEvents(), 1);
+  ASSERT_EQ(CountSpans(snapshot, "test/sink"), 1);
+  for (const obs::ThreadTrace& thread : snapshot.threads) {
+    for (const obs::SpanEvent& event : thread.events) {
+      EXPECT_EQ(event.duration_ns, elapsed_ns - untraced_ns);
+    }
+  }
+}
+
 TEST_F(TraceTest, RecordsSpansWhileActive) {
   obs::StartTracing();
   { FASTFT_TRACE_SPAN("test/alpha"); }

@@ -2,7 +2,8 @@
 # Smoke-check the observability pipeline end to end: run the CLI with
 # --trace-out and --metrics-out on a small zoo dataset, then validate that
 # the exported Chrome-trace JSON parses, has the required trace-event
-# fields, and contains spans from every core subsystem.
+# fields, contains spans from every core subsystem, and that the pool/task
+# spans agree with the pool.task_run_us histogram.
 #
 #   $ tools/check_trace.sh                        # uses build/tools/fastft
 #   $ tools/check_trace.sh build-thread/tools/fastft
@@ -83,6 +84,23 @@ counters = metrics.get("counters", {})
 assert counters.get("engine.steps", 0) > 0, "engine.steps counter missing"
 assert counters.get("engine.downstream_evaluations", 0) > 0, \
     "engine.downstream_evaluations counter missing"
+
+# One start/end pair per pool task feeds both its pool/task span and the
+# pool.task_run_us histogram: the counts match, and so do the sums within
+# the two files' print precision (%.3f us per span, %.6g for the sum).
+pool_spans = [e for e in spans if e["name"] == "pool/task"]
+if pool_spans:
+    run_us = metrics["histograms"]["pool.task_run_us"]
+    span_count = {s["name"]: s["count"]
+                  for s in trace["spanSummary"]}["pool/task"]
+    assert span_count == run_us["count"], (
+        f"{span_count} pool/task spans vs {run_us['count']} "
+        "pool.task_run_us observations")
+    span_sum = sum(e["dur"] for e in pool_spans)
+    tolerance = 0.0005 * len(pool_spans) + 5e-6 * abs(run_us["sum"])
+    assert abs(span_sum - run_us["sum"]) <= tolerance, (
+        f"pool/task spans sum to {span_sum:.3f} us, pool.task_run_us to "
+        f"{run_us['sum']} us")
 
 print(f"check_trace: OK — {len(spans)} spans across "
       f"{len({e['tid'] for e in spans})} thread(s), "

@@ -214,8 +214,9 @@ void PrintRunSummary(const Dataset& dataset, const EngineResult& result) {
               static_cast<long long>(result.downstream_evaluations),
               static_cast<long long>(result.predictor_estimations));
   std::printf("time: evaluation %.2fs, estimation %.2fs, optimization %.2fs\n",
-              result.times.Get("evaluation"), result.times.Get("estimation"),
-              result.times.Get("optimization"));
+              1e-9 * result.times.evaluation_ns,
+              1e-9 * result.times.estimation_ns,
+              1e-9 * result.times.optimization_ns);
   if (result.resumed) std::printf("resumed from checkpoint\n");
   if (result.interrupted) {
     std::printf("interrupted: partial report covers %d completed episodes\n",
