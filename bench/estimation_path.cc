@@ -1,23 +1,22 @@
 // Estimation hot path: per-step estimate latency with and without the
-// prefix-state cache, plus serial-vs-batched scoring wall clock.
+// prefix-state cache, and with the vector kernels on and off.
 //
-// Layer 1 replays the engine's append pattern — each step extends the token
-// sequence by a few tokens and re-scores it with Predict + NormalizedNovelty
-// — against two identically-seeded component pairs, one with the prefix
-// cache enabled and one from-scratch. Layer 2 fans a batch of independent
-// sequences over the shared pool (cache disabled, isolating the fan-out).
+// The bench replays the engine's append pattern — each step extends the
+// token sequence by a few tokens and re-scores it with Predict +
+// NormalizedNovelty — against identically-seeded component pairs, one with
+// the prefix cache enabled and one from-scratch, then once more with the
+// SIMD kernels disabled.
 //
-// Determinism is the hard requirement: cached, uncached, serial, and batched
-// scores must agree bit for bit. The summary is also emitted as one JSON
-// line (machine-readable perf trajectory for future PRs, same spirit as
-// bench/parallel_eval's layer report).
+// Determinism is the hard requirement: cached, uncached, and scalar-kernel
+// scores must agree bit for bit. The summary is persisted to
+// BENCH_estimation.json through the perf ledger.
 
 #include <cinttypes>
+#include <sstream>
 
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/simd_kernels.h"
-#include "common/threadpool.h"
 #include "common/timer.h"
 #include "core/novelty_estimator.h"
 #include "core/performance_predictor.h"
@@ -25,7 +24,6 @@
 namespace fastft {
 namespace {
 
-constexpr int kThreads = 4;
 constexpr int kVocab = 64;
 constexpr int kLongStep = 32;  // acceptance: >= 2x for sequences >= 32 tokens
 
@@ -55,11 +53,9 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 int main_impl() {
-  bench::PrintTitle("Estimation hot path — prefix cache + batched scoring");
-  const int hardware = common::ResolveThreadCount(0);
-  std::printf("hardware threads: %d\n", hardware);
+  bench::PrintTitle("Estimation hot path — prefix cache + SIMD kernels");
 
-  // --- Layer 1: per-step estimation along growing sequences. -------------
+  // --- Per-step estimation along growing sequences. ----------------------
   const int episodes = bench::FullMode() ? 12 : 6;
   const int steps = 40;  // final sequences reach 122 tokens
   std::vector<std::vector<std::vector<int>>> workload;
@@ -134,7 +130,7 @@ int main_impl() {
               cache.HitRate(), cache.TokenReuseRate(), cache.lookups,
               cache.tokens_reused, cache.tokens_encoded);
 
-  // --- Layer 1b: SIMD on/off determinism. --------------------------------
+  // --- SIMD on/off determinism. -----------------------------------------
   // A third identically-seeded pair scores the same workload with the
   // vector kernels disabled; the SIMD layer's bit-identity contract says
   // the scores cannot move.
@@ -157,90 +153,31 @@ int main_impl() {
               simd::ActiveBackend(), scalar_kernels_s, cached_s, simd_speedup,
               simd_identical ? "bit-identical" : "DIFFER");
 
-  // --- Layer 2: batched scoring fan-out (cache disabled). ----------------
-  const int batch_size = bench::FullMode() ? 96 : 48;
-  std::vector<std::vector<int>> batch;
-  {
-    Rng rng(909);
-    for (int i = 0; i < batch_size; ++i) {
-      std::vector<int> seq = {1};
-      for (int j = 0; j < 47; ++j) {
-        seq.push_back(3 + static_cast<int>(rng.Uniform() * (kVocab - 4)));
-      }
-      seq.push_back(2);
-      batch.push_back(std::move(seq));
-    }
-  }
-  PerformancePredictor batch_pred(pp_scratch);
-  NoveltyEstimator batch_nov(ne_scratch);
-  const int rounds = bench::FullMode() ? 6 : 3;
+  std::ostringstream payload;
+  payload << "{\n";
+  payload << "    \"long_steps\": " << long_steps << ",\n";
+  payload << "    \"scratch_us\": " << us_scratch << ",\n";
+  payload << "    \"cached_us\": " << us_cached << ",\n";
+  payload << "    \"cache_speedup\": " << step_speedup << ",\n";
+  payload << "    \"hit_rate\": " << cache.HitRate() << ",\n";
+  payload << "    \"token_reuse_rate\": " << cache.TokenReuseRate() << ",\n";
+  payload << "    \"scalar_kernel_s\": " << scalar_kernels_s << ",\n";
+  payload << "    \"simd_speedup\": " << simd_speedup << ",\n";
+  payload << "    \"bit_identical\": "
+          << (step_identical && simd_identical ? "true" : "false") << "\n  }";
+  bench::PersistLedger("BENCH_estimation.json", "estimation_path",
+                       payload.str());
 
-  WallTimer timer;
-  std::vector<double> serial_pred, serial_nov;
-  for (int r = 0; r < rounds; ++r) {
-    serial_pred = batch_pred.PredictBatch(batch, 1);
-    serial_nov = batch_nov.NoveltyBatch(batch, 1);
-  }
-  const double batch_serial_s = timer.Seconds();
-
-  timer.Restart();
-  std::vector<double> parallel_pred, parallel_nov;
-  for (int r = 0; r < rounds; ++r) {
-    parallel_pred = batch_pred.PredictBatch(batch, kThreads);
-    parallel_nov = batch_nov.NoveltyBatch(batch, kThreads);
-  }
-  const double batch_parallel_s = timer.Seconds();
-
-  const bool batch_identical = BitIdentical(serial_pred, parallel_pred) &&
-                               BitIdentical(serial_nov, parallel_nov);
-  const double batch_speedup =
-      batch_parallel_s > 0 ? batch_serial_s / batch_parallel_s : 0.0;
-  std::printf("batch   %3d seqs x %d rounds   serial %.3fs   %d-thread "
-              "%.3fs   speedup %.2fx   scores %s\n",
-              batch_size, rounds, batch_serial_s, kThreads, batch_parallel_s,
-              batch_speedup, batch_identical ? "bit-identical" : "DIFFER");
-
-  // Machine-readable perf trajectory for future PRs.
-  std::printf("{\"bench\": \"estimation_path\", "
-              "\"per_step\": {\"long_steps\": %" PRId64
-              ", \"scratch_us\": %.2f, \"cached_us\": %.2f, "
-              "\"speedup\": %.3f, \"hit_rate\": %.4f, "
-              "\"token_reuse_rate\": %.4f}, "
-              "\"batch\": {\"size\": %d, \"threads\": %d, "
-              "\"serial_s\": %.4f, \"parallel_s\": %.4f, "
-              "\"speedup\": %.3f}, "
-              "\"simd\": {\"backend\": \"%s\", \"scalar_kernel_s\": %.4f, "
-              "\"speedup\": %.3f, \"bit_identical\": %s}, "
-              "\"bit_identical\": %s}\n",
-              long_steps, us_scratch, us_cached, step_speedup,
-              cache.HitRate(), cache.TokenReuseRate(), batch_size, kThreads,
-              batch_serial_s, batch_parallel_s, batch_speedup,
-              simd::ActiveBackend(), scalar_kernels_s, simd_speedup,
-              simd_identical ? "true" : "false",
-              (step_identical && batch_identical && simd_identical)
-                  ? "true"
-                  : "false");
-
-  bench::ShapeCheck(step_identical && batch_identical,
-                    "cached and batched estimation reproduces serial "
-                    "from-scratch scores bit for bit");
+  bench::ShapeCheck(step_identical,
+                    "cached estimation reproduces from-scratch scores bit "
+                    "for bit");
   bench::ShapeCheck(simd_identical,
                     "vector kernels reproduce scalar-kernel scores bit for "
                     "bit (FASTFT_SIMD on vs off)");
   bench::ShapeCheck(step_speedup >= 2.0,
                     "prefix cache >= 2x per-step estimation speedup for "
                     "sequences >= " + std::to_string(kLongStep) + " tokens");
-  if (hardware >= 2) {
-    bench::ShapeCheck(batch_speedup >= 2.0,
-                      "batched scoring >= 2x faster at " +
-                          std::to_string(kThreads) +
-                          " threads (near-linear scaling)");
-  } else {
-    std::printf("paper-shape check: [SKIP] batch scaling needs >= 2 hardware "
-                "threads (this host has %d; determinism still asserted)\n",
-                hardware);
-  }
-  return (step_identical && batch_identical && simd_identical) ? 0 : 1;
+  return (step_identical && simd_identical) ? 0 : 1;
 }
 
 }  // namespace

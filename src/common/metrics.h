@@ -4,8 +4,9 @@
 // (estimation-cache counters, evaluation counts, ...) with a process-wide
 // registry of named counters, gauges, and fixed-bucket histograms. The
 // engine snapshots the registry at the start and end of a run and reports
-// the delta, so concurrent instrumented subsystems (thread pool, encode
-// cache, forests) all feed one "metrics" section of the run report.
+// the delta, so concurrent instrumented subsystems (thread pool, evaluator,
+// forests, replay) all feed one snapshot; the run report renders its counted
+// work as "metrics" and its pool counters and histograms under "runtime".
 //
 // All mutation paths are lock-free atomics, safe to call from pool workers;
 // registration (name -> metric lookup) takes a mutex, so call sites cache
@@ -14,7 +15,7 @@
 // bit-identical whether a run snapshots metrics or not.
 //
 // Metric naming scheme: "<subsystem>.<metric>[_<unit>]", e.g.
-// "engine.steps", "pool.queue_wait_us", "encode_cache.hits".
+// "engine.steps", "pool.queue_wait_us", "evaluator.folds".
 
 #pragma once
 

@@ -16,7 +16,6 @@
 #include "common/recorder.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/threadpool.h"
 #include "common/trace.h"
 #include "core/checkpoint.h"
 #include "core/mutual_information.h"
@@ -30,7 +29,6 @@ struct EngineMetrics {
   obs::Counter* episodes;
   obs::Counter* downstream_evaluations;
   obs::Counter* predictor_estimations;
-  obs::Counter* candidate_batches;
 };
 
 const EngineMetrics& Metrics() {
@@ -41,7 +39,6 @@ const EngineMetrics& Metrics() {
         registry.GetCounter("engine.episodes"),
         registry.GetCounter("engine.downstream_evaluations"),
         registry.GetCounter("engine.predictor_estimations"),
-        registry.GetCounter("engine.candidate_batches"),
     };
   }();
   return metrics;
@@ -287,8 +284,7 @@ struct RunContext {
         space(dataset, SpaceConfig(config, dataset)),
         tokenizer(config.tokenizer_feature_buckets,
                   config.tokenizer_max_length),
-        evaluator(EvalConfig(config, &deadline)),
-        est_threads(common::ResolveThreadCount(config.num_threads)) {}
+        evaluator(EvalConfig(config, &deadline)) {}
 
   const EngineConfig& config;
   const Dataset& dataset;
@@ -300,9 +296,6 @@ struct RunContext {
   FeatureSpace space;  // reset at every episode start
   Tokenizer tokenizer;
   Evaluator evaluator;
-  // Estimation-side parallelism (distillation targets, embedding sweep);
-  // downstream evaluation resolves the same knob inside the evaluator.
-  const int est_threads;
   std::optional<obs::RecordStream> record_stream;
   // The newest episode-boundary snapshot (pure serialization), written at
   // the configured cadence and by Finish() when newer than the disk copy.
@@ -594,17 +587,16 @@ bool Evaluate(RunContext& ctx, EngineState& s, StepLocals& st,
     return true;
   }
   obs::TraceSpan phase("engine/evaluate", &s.result.times.evaluation_ns);
-  // One guarded batch: candidates fan out across the shared pool
-  // (bit-identical to serial — every candidate's fold seeds are fixed),
-  // while the fault point and every health-ladder decision run on this
-  // thread, in candidate order.
+  // One guarded evaluation: the evaluator fans the candidate's folds out
+  // across the shared pool (bit-identical to serial — every fold's seed is
+  // fixed), while the fault point and every health-ladder decision run on
+  // this thread.
   Dataset candidate = ctx.space.ToDataset();
   double measured = ctx.evaluator.EvaluateBatch({&candidate})[0];
   ++s.result.downstream_evaluations;
-  Metrics().candidate_batches->Increment();
   Metrics().downstream_evaluations->Increment();
   if (FASTFT_FAULT_POINT("evaluator/evaluate")) measured = kNaN;
-  // The deadline fired inside the batch: `measured` may cover only some
+  // The deadline fired inside the evaluation: `measured` may cover only some
   // folds (or none), which is NOT deterministic across thread counts.
   // Discard it and stop at this boundary — resume replays the whole episode
   // from the last snapshot.
@@ -681,19 +673,11 @@ void NoveltyMetrics(const RunContext& ctx, EngineState& s,
   obs::TraceSpan phase("engine/novelty_metrics", &s.result.times.estimation_ns);
   std::vector<std::vector<double>>& history = s.run.embedding_history;
   std::vector<double> embedding = s.novelty->TargetEmbedding(st.tokens);
-  // The distances fan out over the pool; the min-reduction runs here in
-  // input order, so the metric is bit-identical to the serial scan at any
-  // thread count.
-  std::vector<double> distances(history.size());
-  common::ParallelFor(
-      0, static_cast<int64_t>(history.size()), ctx.est_threads,
-      [&](int64_t i) {
-        distances[static_cast<size_t>(i)] =
-            1.0 - CosineSimilarity(embedding, history[static_cast<size_t>(i)]);
-      });
   double min_distance = 1.0;
-  for (double d : distances) min_distance = std::min(min_distance, d);
-  if (history.empty()) min_distance = 1.0;
+  for (const std::vector<double>& seen : history) {
+    min_distance =
+        std::min(min_distance, 1.0 - CosineSimilarity(embedding, seen));
+  }
   trace->novelty_distance = min_distance;
   history.push_back(std::move(embedding));
   for (const ExprPtr& expr : ctx.space.GeneratedExpressions()) {
@@ -770,8 +754,8 @@ void ColdStartTrain(const RunContext& ctx, EngineState& s, int episode) {
     std::vector<std::vector<int>> sequences;
     sequences.reserve(records.size());
     for (const SequenceRecord& r : records) sequences.push_back(r.tokens);
-    double loss = s.novelty->Fit(sequences, config.cold_start_train_epochs,
-                                 &train_rng, ctx.est_threads);
+    double loss =
+        s.novelty->Fit(sequences, config.cold_start_train_epochs, &train_rng);
     if (FASTFT_FAULT_POINT("novelty/coldstart")) loss = kNaN;
     if (!std::isfinite(loss)) {
       health.RecordComponentFault(&health.novelty);
@@ -847,9 +831,7 @@ void Finetune(const RunContext& ctx, EngineState& s, int episode) {
   }
   if (ctx.config.use_novelty) {
     FinetuneComponent(ctx, s, episode, &health.novelty, "novelty/finetune",
-                      [&] {
-                        return s.novelty->Finetune(sequences, ctx.est_threads);
-                      });
+                      [&] { return s.novelty->Finetune(sequences); });
   }
 }
 

@@ -104,11 +104,11 @@ struct EngineConfig {
   /// EngineConfig::num_threads below; forest_threads passes through.
   EvaluatorConfig evaluator;
 
-  /// Worker threads for downstream evaluation (k-fold fan-out and batched
-  /// candidate scoring) and for batched estimation (novelty distillation
-  /// targets, Fig. 14 embedding-distance sweep). 1 = serial, 0 = all
-  /// hardware threads. Scores, traces, and health reports are bit-identical
-  /// for any value; only the wall clock changes.
+  /// Worker threads for downstream evaluation (the evaluator's k-fold
+  /// fan-out); estimation always runs on the thread that calls Run(), in
+  /// step order. 1 = serial, 0 = all hardware threads. Scores, traces,
+  /// health reports and counted work are bit-identical for any value; only
+  /// the wall clock and the report's "runtime" section change.
   int num_threads = 1;
   /// Per-network byte cap (in KiB) of the estimation prefix-state caches
   /// (predictor + novelty target/estimator). 0 disables caching; scores are

@@ -5,9 +5,7 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "common/trace.h"
 
 namespace fastft {
@@ -47,21 +45,6 @@ double NoveltyEstimator::Novelty(const std::vector<int>& tokens) const {
   return diff * diff;
 }
 
-std::vector<double> NoveltyEstimator::NoveltyBatch(
-    const std::vector<std::vector<int>>& batch, int num_threads) const {
-  FASTFT_TRACE_SPAN("novelty/batch");
-  static obs::Counter* batches =
-      obs::MetricsRegistry::Global().GetCounter("novelty.batch_estimates");
-  batches->Increment();
-  std::vector<double> raw(batch.size());
-  common::ParallelFor(0, static_cast<int64_t>(batch.size()), num_threads,
-                      [&](int64_t i) {
-                        raw[static_cast<size_t>(i)] =
-                            Novelty(batch[static_cast<size_t>(i)]);
-                      });
-  return raw;
-}
-
 void NoveltyEstimator::UpdateRunningScale(double raw) {
   ++observations_;
   double delta = raw - running_mean_;
@@ -69,7 +52,8 @@ void NoveltyEstimator::UpdateRunningScale(double raw) {
   running_var_ += (raw - running_mean_) * delta;
 }
 
-double NoveltyEstimator::NormalizeRaw(double raw) {
+double NoveltyEstimator::NormalizedNovelty(const std::vector<int>& tokens) {
+  const double raw = Novelty(tokens);
   // A diverged network must not poison the running scale; return the
   // non-finite score untouched so the caller's guard can quarantine us.
   if (!std::isfinite(raw)) return raw;
@@ -81,34 +65,19 @@ double NoveltyEstimator::NormalizeRaw(double raw) {
   return std::clamp(raw / (scale + 1e-9), 0.0, 10.0);
 }
 
-double NoveltyEstimator::NormalizedNovelty(const std::vector<int>& tokens) {
-  return NormalizeRaw(Novelty(tokens));
-}
-
-std::vector<double> NoveltyEstimator::NormalizedNoveltyBatch(
-    const std::vector<std::vector<int>>& batch, int num_threads) {
-  std::vector<double> scores = NoveltyBatch(batch, num_threads);
-  // Running-scale updates stay on this thread, in input order: the i-th
-  // score sees exactly the scale state a serial loop would have seen.
-  for (double& score : scores) score = NormalizeRaw(score);
-  return scores;
-}
-
 double NoveltyEstimator::Fit(const std::vector<std::vector<int>>& sequences,
-                             int epochs, Rng* rng, int num_threads) {
+                             int epochs, Rng* rng) {
   FASTFT_CHECK(rng != nullptr);
   if (sequences.empty()) return 0.0;
   // The target is frozen, so its outputs are loop invariants of the
-  // epoch × item distillation loop; compute them once, batched.
-  std::vector<double> targets(sequences.size());
+  // epoch × item distillation loop; compute them once.
+  std::vector<double> targets;
+  targets.reserve(sequences.size());
   {
     FASTFT_TRACE_SPAN("novelty/distill_targets");
-    common::ParallelFor(
-        0, static_cast<int64_t>(sequences.size()), num_threads,
-        [&](int64_t i) {
-          targets[static_cast<size_t>(i)] =
-              target_.Predict(sequences[static_cast<size_t>(i)]);
-        });
+    for (const std::vector<int>& seq : sequences) {
+      targets.push_back(target_.Predict(seq));
+    }
   }
   double last = 0.0;
   std::vector<int> order(sequences.size());
@@ -126,17 +95,11 @@ double NoveltyEstimator::Fit(const std::vector<std::vector<int>>& sequences,
 }
 
 double NoveltyEstimator::Finetune(
-    const std::vector<std::vector<int>>& sequences, int num_threads) {
+    const std::vector<std::vector<int>>& sequences) {
   if (sequences.empty()) return 0.0;
-  std::vector<double> targets(sequences.size());
-  common::ParallelFor(0, static_cast<int64_t>(sequences.size()), num_threads,
-                      [&](int64_t i) {
-                        targets[static_cast<size_t>(i)] =
-                            target_.Predict(sequences[static_cast<size_t>(i)]);
-                      });
   double loss = 0.0;
-  for (size_t i = 0; i < sequences.size(); ++i) {
-    loss += estimator_.TrainStep(sequences[i], targets[i]);
+  for (const std::vector<int>& seq : sequences) {
+    loss += estimator_.TrainStep(seq, target_.Predict(seq));
     estimator_.ApplyStep();
   }
   return loss / static_cast<double>(sequences.size());
@@ -145,17 +108,6 @@ double NoveltyEstimator::Finetune(
 std::vector<double> NoveltyEstimator::TargetEmbedding(
     const std::vector<int>& tokens) const {
   return target_.Encode(tokens);
-}
-
-std::vector<std::vector<double>> NoveltyEstimator::TargetEmbeddingBatch(
-    const std::vector<std::vector<int>>& batch, int num_threads) const {
-  std::vector<std::vector<double>> embeddings(batch.size());
-  common::ParallelFor(0, static_cast<int64_t>(batch.size()), num_threads,
-                      [&](int64_t i) {
-                        embeddings[static_cast<size_t>(i)] =
-                            target_.Encode(batch[static_cast<size_t>(i)]);
-                      });
-  return embeddings;
 }
 
 nn::PrefixCacheStats NoveltyEstimator::cache_stats() const {

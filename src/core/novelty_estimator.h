@@ -8,12 +8,9 @@
 // transformations and large on unencountered ones — that error is the
 // novelty score feeding Eq. 6's exploration bonus.
 //
-// Scoring runs on the models' cached inference paths. The batch variants fan
-// raw novelty computation over the shared pool; NormalizedNoveltyBatch keeps
-// its running-scale (Welford) updates on the *calling thread in input
-// order*, so the produced scores — and the scale state left behind — are
-// bit-identical to the equivalent serial NormalizedNovelty loop at any
-// thread count.
+// Scoring runs on the models' cached inference paths, on the calling thread
+// and in input order: the running scale (Welford) and both networks' prefix
+// caches then evolve identically at any engine thread count.
 
 #pragma once
 
@@ -48,40 +45,23 @@ class NoveltyEstimator {
   /// Raw novelty: (ψ(T) − ψ⊥(T))². Large on unvisited sequences.
   double Novelty(const std::vector<int>& tokens) const;
 
-  /// Raw novelties of independent sequences, fanned over the shared pool
-  /// with up to `num_threads` executors (<= 1 runs inline). Result order
-  /// matches input order; entries are bit-identical to Novelty.
-  std::vector<double> NoveltyBatch(const std::vector<std::vector<int>>& batch,
-                                   int num_threads) const;
-
   /// Novelty normalized by a running scale so rewards stay O(1);
   /// clamped to [0, 10].
   double NormalizedNovelty(const std::vector<int>& tokens);
 
-  /// Batch of normalized novelties: raw scores computed in parallel, the
-  /// running-scale updates applied here in input order — scores and scale
-  /// state are bit-identical to calling NormalizedNovelty in a loop.
-  std::vector<double> NormalizedNoveltyBatch(
-      const std::vector<std::vector<int>>& batch, int num_threads);
-
   /// Distills the estimator toward the frozen target on visited sequences.
   /// Returns the final mean distillation loss. The frozen target's outputs
-  /// are precomputed once with up to `num_threads` executors (the target
-  /// never changes, so per-epoch recomputation is redundant).
+  /// are computed once, before the first epoch (the target never changes,
+  /// so per-epoch recomputation is redundant).
   double Fit(const std::vector<std::vector<int>>& sequences, int epochs,
-             Rng* rng, int num_threads = 1);
+             Rng* rng);
 
   /// One distillation pass over a finetuning batch (Algorithm 2 line 23).
-  double Finetune(const std::vector<std::vector<int>>& sequences,
-                  int num_threads = 1);
+  double Finetune(const std::vector<std::vector<int>>& sequences);
 
   /// Target-network embedding of a sequence (fixed by construction) — the
   /// representation used for the Fig. 14 novelty-distance metric.
   std::vector<double> TargetEmbedding(const std::vector<int>& tokens) const;
-
-  /// Target embeddings of independent sequences, fanned over the pool.
-  std::vector<std::vector<double>> TargetEmbeddingBatch(
-      const std::vector<std::vector<int>>& batch, int num_threads) const;
 
   /// Combined prefix-cache counters of the target and estimator networks.
   nn::PrefixCacheStats cache_stats() const;
@@ -95,10 +75,6 @@ class NoveltyEstimator {
 
  private:
   void UpdateRunningScale(double raw);
-  /// Folds one raw novelty into the running scale and returns the
-  /// normalized, clamped score (the post-Novelty tail of
-  /// NormalizedNovelty). Non-finite raw scores pass through untouched.
-  double NormalizeRaw(double raw);
 
   nn::SequenceModel target_;
   nn::SequenceModel estimator_;

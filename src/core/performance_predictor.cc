@@ -3,9 +3,7 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "common/trace.h"
 
 namespace fastft {
@@ -32,21 +30,6 @@ PerformancePredictor::PerformancePredictor(const PredictorConfig& config)
 double PerformancePredictor::Predict(const std::vector<int>& tokens) const {
   FASTFT_TRACE_SPAN("predictor/predict");
   return model_.Predict(tokens);
-}
-
-std::vector<double> PerformancePredictor::PredictBatch(
-    const std::vector<std::vector<int>>& batch, int num_threads) const {
-  FASTFT_TRACE_SPAN("predictor/predict_batch");
-  static obs::Counter* batches =
-      obs::MetricsRegistry::Global().GetCounter("predictor.batch_predictions");
-  batches->Increment();
-  std::vector<double> scores(batch.size());
-  common::ParallelFor(0, static_cast<int64_t>(batch.size()), num_threads,
-                      [&](int64_t i) {
-                        scores[static_cast<size_t>(i)] =
-                            model_.Predict(batch[static_cast<size_t>(i)]);
-                      });
-  return scores;
 }
 
 double PerformancePredictor::Fit(const std::vector<SequenceRecord>& records,

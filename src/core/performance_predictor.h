@@ -6,11 +6,9 @@
 // bottleneck (C1).
 //
 // Scoring goes through the model's inference path: bit-identical to the
-// training forward, backed by a prefix-state cache (appended tokens only are
-// re-encoded) and safe to fan out across threads. PredictBatch scores
-// independent sequences over the shared pool; any thread count reproduces
-// the serial scores bit for bit because each output is a self-contained
-// deterministic computation.
+// training forward and backed by a prefix-state cache (appended tokens only
+// are re-encoded). The engine scores one sequence per step on the thread
+// that called Run(), so the cache sees its lookups in a fixed order.
 
 #pragma once
 
@@ -49,12 +47,6 @@ class PerformancePredictor {
 
   /// Estimated downstream performance of the sequence (cached inference).
   double Predict(const std::vector<int>& tokens) const;
-
-  /// Scores independent sequences, fanning over the shared thread pool
-  /// with up to `num_threads` executors (<= 1 runs inline). Result order
-  /// matches input order; every entry is bit-identical to Predict.
-  std::vector<double> PredictBatch(
-      const std::vector<std::vector<int>>& batch, int num_threads) const;
 
   /// Trains for `epochs` passes over `records` (cold start, Eq. 3).
   /// Returns the final mean squared error.

@@ -22,6 +22,13 @@ void AppendNumber(std::ostringstream& out, double v) {
   out << buffer;
 }
 
+// Latency histograms and pool.* counters follow the schedule and the thread
+// count, so they render under "runtime", away from the counted work.
+bool IsRuntimeMetric(const obs::MetricValue& value) {
+  return value.kind == obs::MetricKind::kHistogram ||
+         value.name.rfind("pool.", 0) == 0;
+}
+
 }  // namespace
 
 std::string JsonEscape(const std::string& text) {
@@ -90,19 +97,28 @@ std::string RunReportJson(const Dataset& original,
 
   out << "  \"health\": " << result.health.ToJson() << ",\n";
 
+  obs::MetricsSnapshot counted;
+  obs::MetricsSnapshot runtime;
+  for (const obs::MetricValue& value : result.metrics.values) {
+    (IsRuntimeMetric(value) ? runtime : counted).values.push_back(value);
+  }
   // Additive: runs with EngineConfig::metrics off keep the legacy shape.
-  if (!result.metrics.empty()) {
-    out << "  \"metrics\": " << result.metrics.ToJson() << ",\n";
+  if (!counted.empty()) {
+    out << "  \"metrics\": " << counted.ToJson() << ",\n";
   }
 
-  // Seconds, keys in name order; a bucket no phase charged is left out.
+  // Everything that depends on the schedule or the thread count, on one
+  // line. Times are seconds, keys in name order; a bucket no phase charged
+  // is left out.
+  out << "  \"runtime\": {";
+  if (!runtime.empty()) out << "\"metrics\": " << runtime.ToJson() << ", ";
   const PhaseTimes& times = result.times;
   const std::pair<const char*, uint64_t> buckets[] = {
       {"checkpoint", times.checkpoint_ns},
       {"estimation", times.estimation_ns},
       {"evaluation", times.evaluation_ns},
       {"optimization", times.optimization_ns}};
-  out << "  \"times\": {";
+  out << "\"times\": {";
   bool first = true;
   for (const auto& [bucket, ns] : buckets) {
     if (ns == 0) continue;
@@ -111,7 +127,7 @@ std::string RunReportJson(const Dataset& original,
     out << "\"" << bucket << "\": ";
     AppendNumber(out, static_cast<double>(ns) * 1e-9);
   }
-  out << "},\n";
+  out << "}},\n";
 
   out << "  \"generated_features\": [";
   first = true;

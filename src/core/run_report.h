@@ -13,9 +13,12 @@
 
 namespace fastft {
 
-/// Serializes the result of an engine run (scores, timing buckets,
-/// evaluation counts, generated-feature expressions, and the per-step
-/// trace) as a JSON object.
+/// Serializes the result of an engine run (scores, evaluation counts,
+/// counted metrics, generated-feature expressions, and the per-step trace)
+/// as a JSON object. What depends on the schedule or the thread count —
+/// timing buckets, latency histograms, pool counters — sits in one
+/// single-line "runtime" section, so the rest is byte-identical at any
+/// thread count.
 std::string RunReportJson(const Dataset& original, const EngineResult& result);
 
 /// Writes RunReportJson to `path`.

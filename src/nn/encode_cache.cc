@@ -2,41 +2,11 @@
 
 #include <algorithm>
 
-#include "common/metrics.h"
 #include "common/trace.h"
 
 namespace fastft {
 namespace nn {
 namespace {
-
-// Global mirrors of the per-cache counters: every prefix cache in the
-// process (predictor + both novelty networks) feeds the same metrics, which
-// the engine's snapshot delta slices per run.
-struct CacheMetrics {
-  obs::Counter* lookups;
-  obs::Counter* hits;
-  obs::Counter* misses;
-  obs::Counter* tokens_reused;
-  obs::Counter* tokens_encoded;
-  obs::Counter* evictions;
-  obs::Counter* invalidations;
-};
-
-const CacheMetrics& Metrics() {
-  static const CacheMetrics metrics = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    return CacheMetrics{
-        registry.GetCounter("encode_cache.lookups"),
-        registry.GetCounter("encode_cache.hits"),
-        registry.GetCounter("encode_cache.misses"),
-        registry.GetCounter("encode_cache.tokens_reused"),
-        registry.GetCounter("encode_cache.tokens_encoded"),
-        registry.GetCounter("encode_cache.evictions"),
-        registry.GetCounter("encode_cache.invalidations"),
-    };
-  }();
-  return metrics;
-}
 
 // FNV-1a over the token stream; prefix hashes of one sequence are computed
 // by extending the running state one token at a time.
@@ -103,8 +73,6 @@ bool PrefixStateCache::LongestPrefix(const std::vector<int>& tokens,
     h = HashStep(h, tokens[i]);
     prefix_hash[i] = h;
   }
-  const CacheMetrics& metrics = Metrics();
-  metrics.lookups->Increment();
   common::MutexLock lock(&mu_);
   ++stats_.lookups;
   for (int len = n; len >= 1; --len) {
@@ -121,11 +89,8 @@ bool PrefixStateCache::LongestPrefix(const std::vector<int>& tokens,
     *state = entry.state;
     ++stats_.hits;
     stats_.tokens_reused += len;
-    metrics.hits->Increment();
-    metrics.tokens_reused->Increment(len);
     return true;
   }
-  metrics.misses->Increment();
   return false;
 }
 
@@ -168,13 +133,11 @@ void PrefixStateCache::EvictOverCapLocked() {
     index_.erase(victim.key);
     lru_.pop_back();
     ++stats_.evictions;
-    Metrics().evictions->Increment();
   }
 }
 
 void PrefixStateCache::RecordEncoded(int64_t count) {
   if (!enabled() || count <= 0) return;
-  Metrics().tokens_encoded->Increment(count);
   common::MutexLock lock(&mu_);
   stats_.tokens_encoded += count;
 }
@@ -184,7 +147,6 @@ void PrefixStateCache::Invalidate() {
   common::MutexLock lock(&mu_);
   if (!lru_.empty()) {
     ++stats_.invalidations;
-    Metrics().invalidations->Increment();
   }
   lru_.clear();
   index_.clear();

@@ -16,9 +16,11 @@
 // change (SequenceModel does this in ApplyStep/Load).
 //
 // Thread safety: all public methods are internally locked, so concurrent
-// batched scoring can share one cache. Entry *content* is deterministic;
-// LRU order under concurrency is not — which is fine, because cache state
-// only moves where an encode starts, never what it computes.
+// encodes may share one cache. Entry *content* is deterministic; LRU order
+// and the stats under concurrency are not, because they follow the
+// schedule. The engine encodes on one thread, in step order, which keeps
+// PrefixCacheStats — the cache's one record of its counters — identical
+// at any engine thread count.
 
 #pragma once
 

@@ -9,10 +9,12 @@
 //   * Forward/TrainStep — the training path; caches activations for
 //     backprop and must not be called concurrently.
 //   * Predict/EncodeInfer — the inference path of the estimation hot loop;
-//     bit-identical values, no training caches, safe to call concurrently,
-//     and (for LSTM/RNN backbones) resumes from a prefix-state cache so a
-//     sequence that extends a previously-seen prefix re-encodes only the
-//     appended tokens. The cache is invalidated on every weight update.
+//     bit-identical values, no training caches, and (for LSTM/RNN
+//     backbones) resumes from a prefix-state cache so a sequence that
+//     extends a previously-seen prefix re-encodes only the appended tokens.
+//     The cache is invalidated on every weight update. Safe to call
+//     concurrently, but the cache's counters then follow the schedule; the
+//     engine calls it from one thread, in step order.
 
 #pragma once
 

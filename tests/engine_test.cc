@@ -153,11 +153,13 @@ TEST(EngineTest, PhaseTimesAreSpanSums) {
   EXPECT_GT(r.times.evaluation_ns, 0u);
   EXPECT_GT(r.times.checkpoint_ns, 0u);
 
-  // A cleared record renders as an empty section, as the benchmark's
-  // report digest relies on.
+  // A cleared record and metrics snapshot render as a runtime section with
+  // empty times, as the benchmark's report digest relies on.
   r.times.Clear();
-  EXPECT_NE(RunReportJson(dataset, r).find("\n  \"times\": {},\n"),
-            std::string::npos);
+  r.metrics = obs::MetricsSnapshot{};
+  EXPECT_NE(
+      RunReportJson(dataset, r).find("\n  \"runtime\": {\"times\": {}},\n"),
+      std::string::npos);
 }
 
 TEST(EngineTest, NoveltyMetricsCollectedOnDemand) {
@@ -292,9 +294,10 @@ uint64_t Fnv1a(const std::string& bytes) {
 }
 
 // RunReportJson minus the sections that vary between runs of one config —
-// wall-clock times, the process metrics delta and the prefix-cache counters,
-// the same sections tools/check_crash.sh treats as volatile. Each of them is
-// a single line of the report.
+// the runtime section (wall-clock times, pool counters, latency histograms),
+// the process metrics delta and the prefix-cache counters, the same sections
+// tools/check_crash.sh treats as volatile. Each of them is a single line of
+// the report.
 std::string StableReport(const Dataset& ds, const EngineResult& r) {
   const std::string report = RunReportJson(ds, r);
   std::string out;
@@ -303,7 +306,7 @@ std::string StableReport(const Dataset& ds, const EngineResult& r) {
     size_t end = report.find('\n', start);
     if (end == std::string::npos) end = report.size();
     const std::string line = report.substr(start, end - start);
-    if (line.rfind("  \"times\":", 0) != 0 &&
+    if (line.rfind("  \"runtime\":", 0) != 0 &&
         line.rfind("  \"metrics\":", 0) != 0 &&
         line.rfind("  \"estimation_cache\":", 0) != 0) {
       out += line;

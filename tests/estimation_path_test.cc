@@ -1,20 +1,20 @@
 // Estimation hot-path tests: inference/training bit-identity, prefix-cache
-// equivalence, batched scoring determinism, and full-engine invariance to
-// thread count and cache size.
+// equivalence, and full-engine invariance to thread count and cache size.
 //
 // Every comparison is exact `==` on doubles — the acceleration layers
-// (incremental encoding, batched fan-out, blocked kernels) are required to
-// reproduce the serial from-scratch arithmetic bit for bit.
+// (incremental encoding, blocked kernels) are required to reproduce the
+// serial from-scratch arithmetic bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/novelty_estimator.h"
-#include "core/performance_predictor.h"
+#include "core/run_report.h"
 #include "data/synthetic.h"
 #include "nn/sequence_model.h"
 
@@ -145,48 +145,6 @@ TEST(NoveltyEstimatorTest, DeterministicAcrossInstances) {
   }
 }
 
-TEST(BatchScoringTest, PredictBatchBitIdenticalAcrossThreadCounts) {
-  PredictorConfig cfg;
-  cfg.seed = 17;
-  PerformancePredictor predictor(cfg);
-  std::vector<std::vector<int>> batch = IndependentSequences(24, 64, 9);
-
-  std::vector<double> serial;
-  for (const std::vector<int>& seq : batch) serial.push_back(predictor.Predict(seq));
-  EXPECT_EQ(predictor.PredictBatch(batch, 1), serial);
-  EXPECT_EQ(predictor.PredictBatch(batch, 4), serial);
-}
-
-TEST(BatchScoringTest, NoveltyBatchesBitIdenticalAcrossThreadCounts) {
-  NoveltyConfig cfg;
-  cfg.seed = 18;
-  // Running-scale state mutates per score, so each variant gets an
-  // identically-seeded fresh estimator.
-  NoveltyEstimator serial(cfg);
-  NoveltyEstimator batched1(cfg);
-  NoveltyEstimator batched4(cfg);
-  std::vector<std::vector<int>> batch = IndependentSequences(24, 64, 10);
-
-  std::vector<double> raw_expected, norm_expected;
-  for (const std::vector<int>& seq : batch) {
-    raw_expected.push_back(serial.Novelty(seq));
-  }
-  for (const std::vector<int>& seq : batch) {
-    norm_expected.push_back(serial.NormalizedNovelty(seq));
-  }
-  EXPECT_EQ(batched1.NoveltyBatch(batch, 1), raw_expected);
-  EXPECT_EQ(batched4.NoveltyBatch(batch, 4), raw_expected);
-  EXPECT_EQ(batched1.NormalizedNoveltyBatch(batch, 1), norm_expected);
-  EXPECT_EQ(batched4.NormalizedNoveltyBatch(batch, 4), norm_expected);
-
-  std::vector<std::vector<double>> embeddings =
-      serial.TargetEmbeddingBatch(batch, 4);
-  ASSERT_EQ(embeddings.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(embeddings[i], serial.TargetEmbedding(batch[i]));
-  }
-}
-
 EngineConfig SmallEngineConfig(uint64_t seed) {
   EngineConfig cfg;
   cfg.episodes = 5;
@@ -225,15 +183,48 @@ void ExpectRunsBitIdentical(const EngineResult& a, const EngineResult& b) {
   }
 }
 
-TEST(EngineEstimationTest, RunBitIdenticalAtOneAndFourThreads) {
+// The run report without its single-line "runtime" section.
+std::string ReportWithoutRuntime(const Dataset& dataset,
+                                 const EngineResult& result) {
+  std::string report = RunReportJson(dataset, result);
+  const size_t start = report.find("\n  \"runtime\": ");
+  EXPECT_NE(start, std::string::npos);
+  if (start == std::string::npos) return report;
+  return report.erase(start, report.find('\n', start + 1) - start);
+}
+
+// Estimation runs on the engine thread in step order, so the prefix-cache
+// counters and every counted metric match at any thread count, not just the
+// scores. The Fig. 14 sweep encodes every step's sequence through the
+// target network, so the cold-start distillation only sees that cache's
+// lookup order when the sweep is off.
+TEST(EngineEstimationTest, RunBitIdenticalAcrossThreadCounts) {
   Dataset dataset = SmallDataset();
-  EngineConfig serial_cfg = SmallEngineConfig(31);
-  serial_cfg.num_threads = 1;
-  EngineConfig parallel_cfg = SmallEngineConfig(31);
-  parallel_cfg.num_threads = 4;
-  EngineResult serial = FastFtEngine(serial_cfg).Run(dataset).ValueOrDie();
-  EngineResult parallel = FastFtEngine(parallel_cfg).Run(dataset).ValueOrDie();
-  ExpectRunsBitIdentical(serial, parallel);
+  for (bool sweep : {true, false}) {
+    EngineConfig serial_cfg = SmallEngineConfig(31);
+    serial_cfg.collect_novelty_metrics = sweep;
+    serial_cfg.num_threads = 1;
+    EngineResult serial = FastFtEngine(serial_cfg).Run(dataset).ValueOrDie();
+    for (int threads : {2, 4}) {
+      SCOPED_TRACE("sweep " + std::to_string(sweep) + ", threads " +
+                   std::to_string(threads));
+      EngineConfig parallel_cfg = serial_cfg;
+      parallel_cfg.num_threads = threads;
+      EngineResult parallel =
+          FastFtEngine(parallel_cfg).Run(dataset).ValueOrDie();
+      ExpectRunsBitIdentical(serial, parallel);
+      const nn::PrefixCacheStats& a = serial.estimation_cache;
+      const nn::PrefixCacheStats& b = parallel.estimation_cache;
+      EXPECT_EQ(a.lookups, b.lookups);
+      EXPECT_EQ(a.hits, b.hits);
+      EXPECT_EQ(a.tokens_reused, b.tokens_reused);
+      EXPECT_EQ(a.tokens_encoded, b.tokens_encoded);
+      EXPECT_EQ(a.evictions, b.evictions);
+      EXPECT_EQ(a.invalidations, b.invalidations);
+      EXPECT_EQ(ReportWithoutRuntime(dataset, serial),
+                ReportWithoutRuntime(dataset, parallel));
+    }
+  }
 }
 
 TEST(EngineEstimationTest, RunBitIdenticalWithAndWithoutPrefixCache) {

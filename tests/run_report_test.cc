@@ -8,20 +8,29 @@
 #include <fstream>
 #include <string>
 
+#include "common/threadpool.h"
 #include "core/run_report.h"
 #include "data/synthetic.h"
 
 namespace fastft {
 namespace {
 
-EngineResult QuickRun(const Dataset& dataset) {
+EngineResult QuickRun(const Dataset& dataset, int threads = 1) {
   EngineConfig cfg;
   cfg.episodes = 3;
   cfg.steps_per_episode = 3;
   cfg.cold_start_episodes = 1;
   cfg.evaluator.folds = 2;
   cfg.seed = 77;
+  cfg.num_threads = threads;
   return FastFtEngine(cfg).Run(dataset).ValueOrDie();
+}
+
+// The line of `json` that starts with `key`, or "" when there is none.
+std::string ReportLine(const std::string& json, const std::string& key) {
+  const size_t start = json.find("\n  \"" + key + "\": ");
+  if (start == std::string::npos) return "";
+  return json.substr(start + 1, json.find('\n', start + 1) - start - 1);
 }
 
 Dataset SmallDataset() {
@@ -66,6 +75,7 @@ TEST(RunReportTest, ContainsCoreFields) {
   EXPECT_NE(json.find("\"best_score\":"), std::string::npos);
   EXPECT_NE(json.find("\"trace\":"), std::string::npos);
   EXPECT_NE(json.find("\"generated_features\":"), std::string::npos);
+  EXPECT_NE(json.find("\"runtime\":"), std::string::npos);
   EXPECT_NE(json.find("\"times\":"), std::string::npos);
 }
 
@@ -129,7 +139,7 @@ TEST(RunReportTest, ContainsHealthSection) {
 
 TEST(RunReportTest, ContainsMetricsSection) {
   Dataset ds = SmallDataset();
-  EngineResult r = QuickRun(ds);
+  EngineResult r = QuickRun(ds, /*threads=*/2);  // the folds use the pool
   ASSERT_FALSE(r.metrics.empty());
   std::string json = RunReportJson(ds, r);
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
@@ -141,6 +151,31 @@ TEST(RunReportTest, ContainsMetricsSection) {
             r.downstream_evaluations);
   EXPECT_NE(json.find("\"engine.steps\": " + std::to_string(r.total_steps)),
             std::string::npos);
+
+  // Counted work renders in the body's "metrics"; every histogram and
+  // every pool.* counter renders under "runtime" instead.
+  const std::string body = ReportLine(json, "metrics");
+  const std::string runtime = ReportLine(json, "runtime");
+  ASSERT_FALSE(body.empty());
+  ASSERT_FALSE(runtime.empty());
+  int runtime_metrics = 0;
+  for (const obs::MetricValue& value : r.metrics.values) {
+    const std::string key = "\"" + value.name + "\": ";
+    const bool schedule_dependent = value.kind == obs::MetricKind::kHistogram ||
+                                    value.name.rfind("pool.", 0) == 0;
+    runtime_metrics += schedule_dependent;
+    EXPECT_EQ(runtime.find(key) != std::string::npos, schedule_dependent)
+        << value.name;
+    EXPECT_EQ(body.find(key) != std::string::npos, !schedule_dependent)
+        << value.name;
+  }
+  // A single-core host runs the shared pool with no workers, so nothing is
+  // queued and no pool metric exists.
+  if (common::ResolveThreadCount(0) > 1) {
+    EXPECT_NE(r.metrics.Find("pool.tasks"), nullptr);
+    EXPECT_NE(r.metrics.Find("pool.task_run_us"), nullptr);
+    EXPECT_GT(runtime_metrics, 0);
+  }
 }
 
 TEST(RunReportTest, MetricsOffKeepsLegacyShape) {

@@ -49,7 +49,7 @@ import sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-for volatile in ("times", "metrics", "estimation_cache"):
+for volatile in ("runtime", "metrics", "estimation_cache"):
     report.pop(volatile, None)
 with open(sys.argv[2], "w") as f:
     json.dump(report, f, indent=1, sort_keys=True)

@@ -25,9 +25,9 @@
 # The thread leg runs the full suite — the parallel-evaluation tests
 # (threadpool_test, parallel_determinism_test, and the evaluator/engine
 # tests with num_threads > 1) are the ones that put real concurrency under
-# TSan — and then re-runs the batched estimation-scoring tests by name
-# (estimation_path_test's BatchScoring / EngineEstimation suites), which
-# fan Predict/Novelty inference over the shared pool. It finishes with
+# TSan — and then re-runs estimation_path_test's EngineEstimation suite by
+# name, whose multi-threaded engine runs keep estimation on the engine
+# thread while downstream folds fan out over the shared pool. It finishes with
 # tools/check_trace.sh against the sanitized CLI, so a full traced engine
 # run (span rings + metrics registry) executes under the race detector,
 # tools/check_crash.sh, so kill-and-resume checkpointing (atomic writes,
@@ -103,8 +103,8 @@ for SAN in "${SANITIZERS[@]}"; do
   step "${SAN}: ctest" in_dir "${BUILD_DIR}" \
        ctest --output-on-failure -j "${JOBS}"
   if [[ "${SAN}" == "thread" ]]; then
-    step "thread: batched estimation-scoring tests" in_dir "${BUILD_DIR}" \
-         ctest --output-on-failure -R 'BatchScoring|EngineEstimation'
+    step "thread: engine estimation tests" in_dir "${BUILD_DIR}" \
+         ctest --output-on-failure -R 'EngineEstimation'
     step "thread: traced CLI run (check_trace.sh)" \
          tools/check_trace.sh "${BUILD_DIR}/tools/fastft"
     step "thread: kill-and-resume chaos harness (check_crash.sh)" \
