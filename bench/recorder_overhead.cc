@@ -1,6 +1,6 @@
 // Overhead of the decision-level flight recorder: the same engine run with
-// recording off vs. on (events emitted into per-thread rings and flushed to
-// an on-disk stream every episode). The DESIGN.md guarantee under test:
+// recording off vs. on (events appended to the run's record stream and
+// flushed to disk every episode). The DESIGN.md guarantee under test:
 // recording never steers — scores and run reports are bit-identical with
 // recording on or off, at any thread count — and costs < 2% of engine
 // wall clock, including the per-episode stream flushes.
@@ -130,28 +130,33 @@ int Main() {
   const double paired_overhead_pct = (median_ratio - 1.0) * 100.0;
 
   // The gated overhead is built from directly measured recorder costs:
-  // per-event Emit over 10^5 reps plus the run's actual per-episode stream
-  // flushes, against the run's own wall clock. An end-to-end on/off ratio
-  // cannot resolve a sub-1% cost on a shared host whose run-to-run noise
-  // is ±3-4% (in CPU time too — frequency scaling and cache interference
-  // land there as well); Emit and flush ARE the only code the on-run adds,
-  // so their measured cost over the observed event/episode counts is the
-  // overhead, with tight error bars. The paired end-to-end medians stay in
-  // the ledger as the corroborating whole-system view.
-  const int kEmitReps = 100000;
-  obs::StartRecording({});
+  // per-event Append over 10^5 reps plus the run's actual per-episode
+  // stream flushes, against the run's own wall clock. An end-to-end on/off
+  // ratio cannot resolve a sub-1% cost on a shared host whose run-to-run
+  // noise is ±3-4% (in CPU time too — frequency scaling and cache
+  // interference land there as well); Append and flush ARE the only code
+  // the on-run adds, so their measured cost over the observed event/episode
+  // counts is the overhead, with tight error bars. The paired end-to-end
+  // medians stay in the ledger as the corroborating whole-system view.
+  // Each chunk appends to a fresh, never-flushed stream, so the probe pays
+  // the pending buffer's growth from empty and keeps its memory bounded.
+  const int kAppendReps = 100000;
+  const int kChunk = 1000;
   obs::RecordEvent probe;
   probe.kind = obs::RecordEventKind::kDecision;
   probe.detail = "(f0*f1)";  // realistic small-string provenance
-  timer.Restart();
-  for (int i = 0; i < kEmitReps; ++i) {
-    probe.step = i;
-    obs::Emit(probe);
+  double append_total_seconds = 0.0;
+  for (int chunk = 0; chunk < kAppendReps / kChunk; ++chunk) {
+    obs::RecordStream sink = obs::RecordStream::Open(record_path, 0);
+    timer.Restart();
+    for (int i = 0; i < kChunk; ++i) {
+      probe.step = i;
+      sink.Append(probe);
+    }
+    append_total_seconds += timer.Seconds();
   }
-  const double emit_seconds =
-      timer.Seconds() / static_cast<double>(kEmitReps);
-  obs::StopRecording();
-  obs::DrainRecordedEvents();
+  const double append_seconds =
+      append_total_seconds / static_cast<double>(kAppendReps);
 
   const int episodes = OverheadConfig(0).episodes;
   timer.Restart();
@@ -160,10 +165,9 @@ int Main() {
   // Re-flush the recorded stream episode by episode to time the actual
   // whole-file rewrites (fsync included) at the sizes this run produces.
   obs::RecordStream replay = obs::RecordStream::Open(record_path, 0);
-  obs::DrainedEvents empty;
   timer.Restart();
   for (int e = 0; e < episodes; ++e) {
-    Status flush = replay.FlushEpisode(1000 + e, empty);
+    Status flush = replay.FlushEpisode(1000 + e);
     FASTFT_CHECK(flush.ok()) << "flush bench invalidated: "
                              << flush.ToString();
   }
@@ -172,7 +176,7 @@ int Main() {
 
   const double overhead_pct =
       on_run_seconds > 0
-          ? (static_cast<double>(events_per_run) * emit_seconds +
+          ? (static_cast<double>(events_per_run) * append_seconds +
              flush_seconds) /
                 on_run_seconds * 100.0
           : 0.0;
@@ -184,7 +188,7 @@ int Main() {
   std::printf(
       "measured recorder cost: %.0f ns/event, %.2f ms for %d episode "
       "flushes -> %.3f%% of a %.2fs run\n",
-      emit_seconds * 1e9, flush_seconds * 1e3, episodes, overhead_pct,
+      append_seconds * 1e9, flush_seconds * 1e3, episodes, overhead_pct,
       on_run_seconds);
 
   std::ostringstream payload;
@@ -193,7 +197,7 @@ int Main() {
   payload << "    \"seconds_off\": " << seconds_off << ",\n";
   payload << "    \"seconds_on\": " << seconds_on << ",\n";
   payload << "    \"paired_delta_pct\": " << paired_overhead_pct << ",\n";
-  payload << "    \"emit_latency_ns\": " << emit_seconds * 1e9 << ",\n";
+  payload << "    \"append_latency_ns\": " << append_seconds * 1e9 << ",\n";
   payload << "    \"flush_ms\": " << flush_seconds * 1e3 << ",\n";
   payload << "    \"overhead_pct\": " << overhead_pct << ",\n";
   payload << "    \"events_per_run\": " << events_per_run << ",\n";

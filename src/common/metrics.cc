@@ -126,15 +126,6 @@ std::string MetricsSnapshot::ToJson() const {
     first = false;
     out << "\"" << value.name << "\": " << value.counter;
   }
-  out << "}, \"gauges\": {";
-  first = true;
-  for (const MetricValue& value : values) {
-    if (value.kind != MetricKind::kGauge) continue;
-    if (!first) out << ", ";
-    first = false;
-    out << "\"" << value.name << "\": ";
-    AppendNumber(out, value.gauge);
-  }
   out << "}, \"histograms\": {";
   first = true;
   for (const MetricValue& value : values) {
@@ -159,8 +150,6 @@ MetricsSnapshot DeltaSnapshot(const MetricsSnapshot& start,
         if (base != nullptr) d.counter -= base->counter;
         if (d.counter == 0) continue;
         break;
-      case MetricKind::kGauge:
-        break;  // gauges are instantaneous: report the end value
       case MetricKind::kHistogram:
         if (base != nullptr &&
             base->histogram.counts.size() == d.histogram.counts.size()) {
@@ -194,13 +183,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  common::MutexLock lock(&mu_);
-  std::unique_ptr<Gauge>& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(
     const std::string& name, const std::vector<double>& upper_bounds) {
   common::MutexLock lock(&mu_);
@@ -217,13 +199,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     value.name = name;
     value.kind = MetricKind::kCounter;
     value.counter = counter->Value();
-    snapshot.values.push_back(std::move(value));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    MetricValue value;
-    value.name = name;
-    value.kind = MetricKind::kGauge;
-    value.gauge = gauge->Value();
     snapshot.values.push_back(std::move(value));
   }
   for (const auto& [name, histogram] : histograms_) {

@@ -2,9 +2,9 @@
 //
 // Replaces the one-off stat plumbing that accumulated in EngineResult
 // (estimation-cache counters, evaluation counts, ...) with a process-wide
-// registry of named counters, gauges, and fixed-bucket histograms. The
-// engine snapshots the registry at the start and end of a run and reports
-// the delta, so concurrent instrumented subsystems (thread pool, evaluator,
+// registry of named counters and fixed-bucket histograms. The engine
+// snapshots the registry at the start and end of a run and reports the
+// delta, so concurrent instrumented subsystems (thread pool, evaluator,
 // forests, replay) all feed one snapshot; the run report renders its counted
 // work as "metrics" and its pool counters and histograms under "runtime".
 //
@@ -43,16 +43,6 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// Last-written instantaneous value.
-class Gauge {
- public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Fixed-bucket histogram: counts per upper bound plus an implicit +Inf
 /// overflow bucket, with total count / sum / max.
 class Histogram {
@@ -83,13 +73,12 @@ class Histogram {
 /// Shared exponential bucket bounds (microseconds) for latency histograms.
 const std::vector<double>& LatencyBucketsUs();
 
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kHistogram };
 
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   int64_t counter = 0;
-  double gauge = 0.0;
   Histogram::Data histogram;
 };
 
@@ -102,14 +91,14 @@ struct MetricsSnapshot {
   const MetricValue* Find(const std::string& name) const;
   /// Convenience: counter value of `name` (0 when absent).
   int64_t CounterValue(const std::string& name) const;
-  /// One JSON object: {"counters": {...}, "gauges": {...},
-  /// "histograms": {...}}. Self-contained, no external dependency.
+  /// One JSON object: {"counters": {...}, "histograms": {...}}.
+  /// Self-contained, no external dependency.
   std::string ToJson() const;
 };
 
 /// end - start for counters and histogram counts/sums (metrics absent from
-/// `start` pass through whole); gauges and histogram maxima report their
-/// `end` values. Zero-delta counters and empty histograms are dropped, so a
+/// `start` pass through whole); histogram maxima report their `end`
+/// values. Zero-delta counters and empty histograms are dropped, so a
 /// run's snapshot only lists subsystems it actually touched.
 MetricsSnapshot DeltaSnapshot(const MetricsSnapshot& start,
                               const MetricsSnapshot& end);
@@ -126,7 +115,6 @@ class MetricsRegistry {
   /// Finds or creates; the returned pointer is stable for the registry's
   /// lifetime (the Global() registry is never destroyed).
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   /// `upper_bounds` only applies on first registration of `name`.
   Histogram* GetHistogram(const std::string& name,
                           const std::vector<double>& upper_bounds);
@@ -137,7 +125,6 @@ class MetricsRegistry {
   mutable common::Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_
       FASTFT_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ FASTFT_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       FASTFT_GUARDED_BY(mu_);
 };

@@ -1,10 +1,8 @@
 #include "common/recorder.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/fs.h"
-#include "common/ring.h"
 #include "common/serial.h"
 
 namespace fastft {
@@ -16,12 +14,6 @@ using common::BinaryWriter;
 
 constexpr uint32_t kStreamMagic = 0x43524646;  // "FFRC" little-endian
 constexpr uint32_t kBlockMagic = 0x4B4C4246;   // "FBLK"
-
-// Leaked on purpose so pool workers can emit during static destruction.
-Ring<RecordEvent>& EventRing() {
-  static Ring<RecordEvent>* ring = new Ring<RecordEvent>();
-  return *ring;
-}
 
 void WriteAgentDecision(BinaryWriter* w, const AgentDecision& d) {
   w->WriteI32(d.action);
@@ -131,15 +123,13 @@ std::string StreamHeader() {
 // One per-episode block:
 //   u32 block magic | i32 episode | u64 payload size | payload | u32 CRC
 // payload = u64 event count | events | u64 tid count | (i32 tid, i64 drop)*
-std::string SerializeBlock(int32_t episode, const DrainedEvents& drained) {
+// The writer drops nothing, so its tid count is always 0.
+std::string SerializeBlock(int32_t episode,
+                           const std::vector<RecordEvent>& events) {
   BinaryWriter payload;
-  payload.WriteU64(drained.events.size());
-  for (const RecordEvent& e : drained.events) WriteEvent(&payload, e);
-  payload.WriteU64(drained.dropped_by_tid.size());
-  for (const auto& [tid, dropped] : drained.dropped_by_tid) {
-    payload.WriteI32(tid);
-    payload.WriteI64(dropped);
-  }
+  payload.WriteU64(events.size());
+  for (const RecordEvent& e : events) WriteEvent(&payload, e);
+  payload.WriteU64(0);
   BinaryWriter block;
   block.WriteU32(kBlockMagic);
   block.WriteI32(episode);
@@ -242,26 +232,6 @@ const char* RecordEventKindName(RecordEventKind kind) {
   return "?";
 }
 
-void StartRecording(const RecorderOptions& options) {
-  EventRing().Start(options.ring_capacity);
-}
-
-void StopRecording() { EventRing().Stop(); }
-
-bool RecordingActive() { return EventRing().Active(); }
-
-void Emit(const RecordEvent& event) { EventRing().Append(event); }
-
-DrainedEvents DrainRecordedEvents() {
-  DrainedEvents drained;
-  for (RingSlice<RecordEvent>& slice : EventRing().Drain()) {
-    if (slice.dropped > 0) drained.dropped_by_tid[slice.tid] += slice.dropped;
-    std::move(slice.items.begin(), slice.items.end(),
-              std::back_inserter(drained.events));
-  }
-  return drained;
-}
-
 Result<DecodedRecordStream> ReadRecordStream(const std::string& path) {
   std::string bytes;
   FASTFT_RETURN_NOT_OK(common::ReadFileToString(path, &bytes));
@@ -299,9 +269,9 @@ RecordStream RecordStream::Open(const std::string& path, int resume_episode) {
   return RecordStream(path, std::move(retained), blocks);
 }
 
-Status RecordStream::FlushEpisode(int32_t episode,
-                                  const DrainedEvents& drained) {
-  buffer_ += SerializeBlock(episode, drained);
+Status RecordStream::FlushEpisode(int32_t episode) {
+  buffer_ += SerializeBlock(episode, pending_);
+  pending_.clear();
   ++episode_blocks_;
   const size_t slash = path_.find_last_of('/');
   if (slash != std::string::npos && slash > 0) {

@@ -15,9 +15,10 @@
 //   * Recording never steers: every recorded value is a copy of a number
 //     the engine computed anyway. Scores, reports, and traces are
 //     bit-identical with recording on or off, at any thread count.
-//   * Events land in the per-thread drop-oldest rings of common/ring.h, as
-//     spans do: exact dropped counters keyed by the trace/log tid, and no
-//     shared lock on the emission path.
+//   * Events belong to the run: the engine appends each one, on the thread
+//     that called Run(), to the RecordStream it opened, which buffers the
+//     current episode. Nothing is process-wide, so two runs recording at
+//     the same time write two independent streams, and nothing is dropped.
 //   * The on-disk stream is a versioned binary envelope on the
 //     common/serial.h writer: an "FFRC" header followed by per-episode
 //     blocks, each CRC-32-guarded and written through the fs atomic-write
@@ -105,42 +106,6 @@ struct RecordEvent {
   double best_score = 0.0;
 };
 
-struct RecorderOptions {
-  /// Max retained events per thread; older events are dropped (and counted
-  /// exactly) once a ring wraps.
-  size_t ring_capacity = 16384;
-};
-
-/// Clears every ring and starts recording (same session semantics as
-/// StartTracing). Registers the calling thread lazily.
-void StartRecording(const RecorderOptions& options = {});
-
-/// Stops recording; rings stay frozen for DrainRecordedEvents.
-void StopRecording();
-
-/// True between StartRecording and StopRecording. One relaxed atomic load.
-bool RecordingActive();
-
-/// Appends one event to the calling thread's ring (no-op when inactive).
-void Emit(const RecordEvent& event);
-
-/// Everything the rings currently hold, merged in thread-id order (each
-/// thread's events oldest first), plus exact per-thread dropped counters.
-struct DrainedEvents {
-  std::vector<RecordEvent> events;
-  std::map<int, int64_t> dropped_by_tid;
-
-  int64_t TotalDropped() const {
-    int64_t total = 0;
-    for (const auto& [tid, dropped] : dropped_by_tid) total += dropped;
-    return total;
-  }
-};
-
-/// Moves the rings' contents out (rings reset to empty; dropped counters
-/// reset). Safe to call whether or not recording is active.
-DrainedEvents DrainRecordedEvents();
-
 /// A decoded stream: every event of every block, in block order, plus the
 /// per-block provenance the envelope carries.
 struct DecodedRecordStream {
@@ -148,9 +113,9 @@ struct DecodedRecordStream {
   /// Episodes in block order (one block per episode flush).
   std::vector<int32_t> episodes;
   std::vector<RecordEvent> events;
-  /// Exact dropped-event totals, per thread id, summed over blocks. The
-  /// inspector exports these as "droppedEvents"; tests reconcile them
-  /// against the emission counts.
+  /// Dropped-event totals, per thread id, summed over blocks; the inspector
+  /// exports them as "droppedEvents". Version 1 keeps the table, but
+  /// RecordStream never drops an event, so it writes the table empty.
   std::map<int, int64_t> dropped_by_tid;
 
   int64_t TotalDropped() const {
@@ -179,10 +144,20 @@ class RecordStream {
   /// with an OK open (recording must never block a resume).
   static RecordStream Open(const std::string& path, int resume_episode);
 
-  /// Serializes one episode block (events + per-thread dropped deltas) and
-  /// atomically rewrites the stream. Episodes must be flushed in strictly
-  /// increasing order within a run.
-  Status FlushEpisode(int32_t episode, const DrainedEvents& drained);
+  /// Buffers one event of the current episode; nothing reaches the disk
+  /// before FlushEpisode. An episode that is never flushed (an interrupted
+  /// one, which resume replays) dies with the stream.
+  void Append(const RecordEvent& event) { pending_.push_back(event); }
+
+  /// Events appended since the last flush.
+  int64_t pending_events() const {
+    return static_cast<int64_t>(pending_.size());
+  }
+
+  /// Serializes the pending events as one episode block (with an empty
+  /// dropped table) and atomically rewrites the stream. Episodes must be
+  /// flushed in strictly increasing order within a run.
+  Status FlushEpisode(int32_t episode);
 
   const std::string& path() const { return path_; }
   /// Episodes currently in the stream (retained + flushed).
@@ -197,6 +172,7 @@ class RecordStream {
   std::string path_;
   std::string buffer_;  // header + every retained/flushed block
   int64_t episode_blocks_ = 0;
+  std::vector<RecordEvent> pending_;  // the current episode's events
 };
 
 }  // namespace obs

@@ -1,14 +1,14 @@
-// Per-thread drop-oldest rings and the one thread registry under both
-// fastft::obs clients: the span tracer (common/trace.h) keeps a
-// Ring<SpanEvent>, the flight recorder (common/recorder.h) a
-// Ring<RecordEvent>. See DESIGN.md "Observability".
+// Per-thread drop-oldest rings and the one thread registry of fastft::obs.
+// The ring's client is the span tracer (common/trace.h), whose producers are
+// the engine thread and every pool worker: it keeps a Ring<SpanEvent>. See
+// DESIGN.md "Observability".
 //
 //   * A thread's tid comes from one registry (RegisterThisThread, or
-//     CurrentThreadId on first use), so trace `tid`s, recorder dropped-counter
-//     keys and FASTFT_LOG `T<n>` prefixes name the same thread.
+//     CurrentThreadId on first use), so trace `tid`s and FASTFT_LOG `T<n>`
+//     prefixes name the same thread.
 //   * One fixed-capacity buffer per thread and ring, drop-oldest with an
-//     exact dropped counter. Only the owner thread appends; Start, Snapshot
-//     and Drain lock each buffer's own mutex briefly, so the recording path
+//     exact dropped counter. Only the owner thread appends; Start and
+//     Snapshot lock each buffer's own mutex briefly, so the recording path
 //     takes no shared lock. A mutex, not a seqlock: TSan can prove it clean.
 //     Lock order: RegistryMutex(), then a buffer's mutex.
 //   * Session reset is `count = 0`, plus a resize only when the capacity
@@ -52,7 +52,7 @@ std::vector<std::string> RegisteredThreadNames();
 
 }  // namespace internal
 
-/// What one thread's buffer held at Snapshot/Drain time.
+/// What one thread's buffer held at Snapshot time.
 template <typename T>
 struct RingSlice {
   int tid = 0;
@@ -87,7 +87,7 @@ class Ring {
     enabled_.store(true, std::memory_order_release);
   }
 
-  /// Stops recording; buffers stay frozen for Snapshot / Drain.
+  /// Stops recording; buffers stay frozen for Snapshot.
   void Stop() { enabled_.store(false, std::memory_order_release); }
 
   /// True between Start and Stop. One relaxed atomic load.
@@ -105,11 +105,27 @@ class Ring {
 
   /// Copies out every non-empty buffer, ascending tid; buffers keep their
   /// contents.
-  std::vector<RingSlice<T>> Snapshot() { return ReadOut(false); }
-
-  /// Moves out every non-empty buffer, ascending tid, and empties it (its
-  /// dropped counter restarts too).
-  std::vector<RingSlice<T>> Drain() { return ReadOut(true); }
+  std::vector<RingSlice<T>> Snapshot() {
+    std::vector<RingSlice<T>> slices;
+    common::MutexLock lock(&internal::RegistryMutex());
+    for (size_t tid = 0; tid < buffers_.size(); ++tid) {
+      Buffer* buffer = buffers_[tid].get();
+      if (buffer == nullptr) continue;
+      common::MutexLock buffer_lock(&buffer->mu);
+      const size_t capacity = buffer->slots.size();
+      if (capacity == 0 || buffer->count == 0) continue;
+      const uint64_t kept = std::min<uint64_t>(buffer->count, capacity);
+      RingSlice<T> slice;
+      slice.tid = static_cast<int>(tid);
+      slice.dropped = static_cast<int64_t>(buffer->count - kept);
+      slice.items.reserve(kept);
+      for (uint64_t i = buffer->count - kept; i < buffer->count; ++i) {
+        slice.items.push_back(buffer->slots[i % capacity]);
+      }
+      slices.push_back(std::move(slice));
+    }
+    return slices;
+  }
 
  private:
   struct Buffer {
@@ -135,30 +151,6 @@ class Ring {
       cached_ring = this;
     }
     return cached_buffer;
-  }
-
-  std::vector<RingSlice<T>> ReadOut(bool drain) {
-    std::vector<RingSlice<T>> slices;
-    common::MutexLock lock(&internal::RegistryMutex());
-    for (size_t tid = 0; tid < buffers_.size(); ++tid) {
-      Buffer* buffer = buffers_[tid].get();
-      if (buffer == nullptr) continue;
-      common::MutexLock buffer_lock(&buffer->mu);
-      const size_t capacity = buffer->slots.size();
-      if (capacity == 0 || buffer->count == 0) continue;
-      const uint64_t kept = std::min<uint64_t>(buffer->count, capacity);
-      RingSlice<T> slice;
-      slice.tid = static_cast<int>(tid);
-      slice.dropped = static_cast<int64_t>(buffer->count - kept);
-      slice.items.reserve(kept);
-      for (uint64_t i = buffer->count - kept; i < buffer->count; ++i) {
-        T& slot = buffer->slots[i % capacity];
-        slice.items.push_back(drain ? std::move(slot) : slot);
-      }
-      if (drain) buffer->count = 0;
-      slices.push_back(std::move(slice));
-    }
-    return slices;
   }
 
   std::atomic<bool> enabled_{false};

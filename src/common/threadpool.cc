@@ -72,8 +72,8 @@ void ThreadPool::WorkerLoop(int worker_index) {
     {
       MutexLock lock(&mu_);
       while (!stop_ && queue_.empty()) cv_.Wait(&lock);
-      // Drain the queue even when stopping so every submitted future
-      // completes before the destructor joins.
+      // Drain the queue even when stopping so every enqueued task runs
+      // before the destructor joins.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -83,9 +83,9 @@ void ThreadPool::WorkerLoop(int worker_index) {
 }
 
 void ThreadPool::Enqueue(std::function<void()> task) {
-  // Tasks are per-executor (one per ParallelFor worker / Submit call), not
-  // per loop index, so the three clock reads per task are noise next to the
-  // work they bracket. One start/end pair feeds both the run-time histogram
+  // Tasks are per-executor (one per ParallelFor worker), not per loop
+  // index, so the three clock reads per task are noise next to the work
+  // they bracket. One start/end pair feeds both the run-time histogram
   // and, when tracing was on at start, the pool/task span, so the two agree
   // and neither charges the other's bookkeeping to the task.
   const uint64_t enqueue_ns = obs::internal::NowNs();
@@ -107,14 +107,6 @@ void ThreadPool::Enqueue(std::function<void()> task) {
     queue_.push_back(std::move(instrumented));
   }
   cv_.NotifyOne();
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  Enqueue([packaged] { (*packaged)(); });
-  return future;
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int max_parallelism,

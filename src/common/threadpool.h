@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -49,11 +48,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues one task; the future completes when it finishes (exceptions
-  /// propagate through the future). Tasks of a single-worker pool execute in
-  /// submission order.
-  std::future<void> Submit(std::function<void()> task);
 
   /// Runs fn(i) for every i in [begin, end) using at most `max_parallelism`
   /// concurrent executors (the calling thread plus up to

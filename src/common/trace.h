@@ -11,8 +11,7 @@
 // Always compiled, cheap when disabled: FASTFT_TRACE_SPAN costs one relaxed
 // atomic load when tracing is off, and engine outputs are bit-identical with
 // tracing on or off, at any thread count. Spans land in the per-thread
-// drop-oldest rings of common/ring.h, under the tids FASTFT_LOG and the
-// flight recorder use too.
+// drop-oldest rings of common/ring.h, under the tids FASTFT_LOG uses too.
 //
 // Span naming scheme mirrors fault sites: "<subsystem>/<operation>", e.g.
 // "engine/step", "evaluator/fold", "pool/task", "encode_cache/lookup".

@@ -44,30 +44,20 @@ const EngineMetrics& Metrics() {
   return metrics;
 }
 
-// Arms tracing and the flight recorder's rings for the duration of one
-// Run(), and writes the Chrome-trace export on every exit path (early Status
-// returns included). Declared before the "engine/run" span so the span
-// closes — and lands in a ring — before the rings are frozen and exported.
-// The record stream itself is opened once the resume cursor is known and
-// flushed at episode boundaries.
-class ObsSession {
+// Arms tracing for the duration of one Run(), and writes the Chrome-trace
+// export on every exit path (early Status returns included). Declared before
+// the "engine/run" span so the span closes — and lands in a ring — before
+// the rings are frozen and exported.
+class TraceSession {
  public:
-  explicit ObsSession(const EngineConfig& config)
-      : trace_path_(config.trace_path),
-        recording_(!config.record_path.empty()) {
-    if (!trace_path_.empty()) {
-      obs::TraceOptions options;
-      options.ring_capacity = static_cast<size_t>(config.trace_ring_capacity);
-      obs::StartTracing(options);
-    }
-    if (recording_) {
-      obs::RecorderOptions options;
-      options.ring_capacity = static_cast<size_t>(config.record_ring_capacity);
-      obs::StartRecording(options);
-    }
+  explicit TraceSession(const EngineConfig& config)
+      : trace_path_(config.trace_path) {
+    if (trace_path_.empty()) return;
+    obs::TraceOptions options;
+    options.ring_capacity = static_cast<size_t>(config.trace_ring_capacity);
+    obs::StartTracing(options);
   }
-  ~ObsSession() {
-    if (recording_) obs::StopRecording();
+  ~TraceSession() {
     if (trace_path_.empty()) return;
     obs::StopTracing();
     Status status = obs::WriteChromeTrace(trace_path_);
@@ -76,14 +66,11 @@ class ObsSession {
                           << "': " << status.ToString();
     }
   }
-  ObsSession(const ObsSession&) = delete;
-  ObsSession& operator=(const ObsSession&) = delete;
-
-  bool recording() const { return recording_; }
+  TraceSession(const TraceSession&) = delete;
+  TraceSession& operator=(const TraceSession&) = delete;
 
  private:
   const std::string trace_path_;
-  const bool recording_;
 };
 
 obs::AgentDecision DecisionFrom(const SelectionStats& stats, int action) {
@@ -213,10 +200,6 @@ Status ValidateEngineConfig(const EngineConfig& config) {
   require(config.record_path.empty() || config.record_path.back() != '/',
           "record_path must name a file, not a directory: '" +
               config.record_path + "'");
-  if (!config.record_path.empty()) {
-    at_least("record_ring_capacity", config.record_ring_capacity, 1,
-             " when recording");
-  }
   at_least("checkpoint_every_episodes", config.checkpoint_every_episodes, 1);
   at_least("wall_clock_budget_ms", config.wall_clock_budget_ms, 0,
            " (0 = no budget)");
@@ -275,11 +258,9 @@ EvaluatorConfig EvalConfig(const EngineConfig& config,
 // What one Run() derives from its config and dataset and no checkpoint
 // holds: the substrate every phase reads, and the I/O plumbing.
 struct RunContext {
-  RunContext(const EngineConfig& config, const Dataset& dataset,
-             bool recording)
+  RunContext(const EngineConfig& config, const Dataset& dataset)
       : config(config),
         dataset(dataset),
-        recording(recording),
         deadline(config.wall_clock_budget_ms, config.cancel_flag.get()),
         space(dataset, SpaceConfig(config, dataset)),
         tokenizer(config.tokenizer_feature_buckets,
@@ -288,7 +269,6 @@ struct RunContext {
 
   const EngineConfig& config;
   const Dataset& dataset;
-  const bool recording;
   // Cooperative deadline watchdog, armed before anything else is built so
   // even the baseline respects the budget; checked at episode/step
   // boundaries and per fold/candidate inside the evaluator.
@@ -296,6 +276,8 @@ struct RunContext {
   FeatureSpace space;  // reset at every episode start
   Tokenizer tokenizer;
   Evaluator evaluator;
+  // Open iff the run records (config.record_path set); holds the current
+  // episode's decision events until EndEpisode flushes them.
   std::optional<obs::RecordStream> record_stream;
   // The newest episode-boundary snapshot (pure serialization), written at
   // the configured cadence and by Finish() when newer than the disk copy.
@@ -327,10 +309,10 @@ struct StepLocals {
 
 // Interleaves a fault / health-ladder event into the decision stream (no-op
 // when recording is off; never observable in scores or reports).
-void RecordGuardEvent(const RunContext& ctx, const EngineState& s,
+void RecordGuardEvent(RunContext& ctx, const EngineState& s,
                       obs::RecordEventKind kind, int episode, int step,
                       const char* site, std::string detail) {
-  if (!ctx.recording) return;
+  if (!ctx.record_stream) return;
   obs::RecordEvent ev;
   ev.kind = kind;
   ev.episode = episode;
@@ -338,7 +320,7 @@ void RecordGuardEvent(const RunContext& ctx, const EngineState& s,
   ev.global_step = s.run.global_step;
   ev.site = site;
   ev.detail = std::move(detail);
-  obs::Emit(ev);
+  ctx.record_stream->Append(ev);
 }
 
 // Setup / resume: a fresh state, or the last episode-boundary snapshot.
@@ -369,7 +351,7 @@ std::unique_ptr<EngineState> SetupOrResume(RunContext& ctx) {
   // Open the record stream at the episode cursor: a fresh run truncates any
   // stale stream; a resumed run keeps the blocks of episodes before the
   // cursor so kill → resume yields one coherent stream.
-  if (ctx.recording) {
+  if (!config.record_path.empty()) {
     ctx.record_stream.emplace(obs::RecordStream::Open(
         config.record_path,
         state->result.resumed ? state->run.next_episode : 0));
@@ -471,7 +453,7 @@ StepLocals SelectAction(RunContext& ctx, EngineState& s, int episode,
     }
   }
   st.generated = added > 0;
-  if (ctx.recording) {
+  if (ctx.record_stream) {
     st.rev.episode = episode;
     st.rev.step = step;
     st.rev.global_step = s.run.global_step;
@@ -490,7 +472,7 @@ StepLocals SelectAction(RunContext& ctx, EngineState& s, int episode,
 // Guards one estimation output: a non-finite value (injected or genuine) is
 // dropped to 0, the component quarantined, and the step continues in the
 // matching ablation mode (-PP / -NE). Returns whether the value was finite.
-bool GuardEstimate(const RunContext& ctx, EngineState& s, const StepLocals& st,
+bool GuardEstimate(RunContext& ctx, EngineState& s, const StepLocals& st,
                    ComponentHealth* component, const char* site,
                    const char* detail, double* value) {
   if (std::isfinite(*value)) return true;
@@ -508,7 +490,7 @@ bool GuardEstimate(const RunContext& ctx, EngineState& s, const StepLocals& st,
 
 // Reward estimation (Algorithm 2 lines 4-10): predicted performance and
 // novelty of the new sequence, once the components are trained.
-void Estimate(const RunContext& ctx, EngineState& s, StepLocals& st) {
+void Estimate(RunContext& ctx, EngineState& s, StepLocals& st) {
   if (!s.run.components_ready) return;
   HealthReport& health = s.result.health;
   obs::TraceSpan phase("engine/estimate", &s.result.times.estimation_ns);
@@ -592,7 +574,7 @@ bool Evaluate(RunContext& ctx, EngineState& s, StepLocals& st,
   // fixed), while the fault point and every health-ladder decision run on
   // this thread.
   Dataset candidate = ctx.space.ToDataset();
-  double measured = ctx.evaluator.EvaluateBatch({&candidate})[0];
+  double measured = ctx.evaluator.Evaluate(candidate);
   ++s.result.downstream_evaluations;
   Metrics().downstream_evaluations->Increment();
   if (FASTFT_FAULT_POINT("evaluator/evaluate")) measured = kNaN;
@@ -658,7 +640,7 @@ void StoreAndOptimize(const RunContext& ctx, EngineState& s, StepLocals& st) {
   s.policy->Optimize(s.buffer.Get(index));
   double updated_priority = s.policy->TdError(s.buffer.Get(index));
   s.buffer.UpdatePriority(index, updated_priority);
-  if (ctx.recording) {
+  if (ctx.record_stream) {
     st.rev.priority_added = priority;
     st.rev.priority_updated = updated_priority;
     st.rev.replay_sampled = index;
@@ -688,7 +670,7 @@ void NoveltyMetrics(const RunContext& ctx, EngineState& s,
 
 // Step trace entry (the figure harnesses) and decision provenance (the
 // flight recorder).
-void RecordStep(const RunContext& ctx, EngineState& s, StepLocals& st) {
+void RecordStep(RunContext& ctx, EngineState& s, StepLocals& st) {
   const FeatureSpace& space = ctx.space;
   StepTrace trace;
   trace.episode = st.episode;
@@ -712,7 +694,7 @@ void RecordStep(const RunContext& ctx, EngineState& s, StepLocals& st) {
     }
     if (best_col >= 0) trace.top_new_feature = space.ColumnName(best_col);
   }
-  if (ctx.recording) {
+  if (ctx.record_stream) {
     obs::RecordEvent& rev = st.rev;
     rev.novelty = st.novelty;
     rev.predicted = st.predicted;
@@ -724,7 +706,7 @@ void RecordStep(const RunContext& ctx, EngineState& s, StepLocals& st) {
     rev.downstream_evaluated = st.run_downstream;
     rev.generated = st.generated;
     rev.detail = trace.top_new_feature;
-    obs::Emit(rev);
+    ctx.record_stream->Append(rev);
   }
   s.result.trace.push_back(std::move(trace));
   ++s.run.global_step;
@@ -732,7 +714,7 @@ void RecordStep(const RunContext& ctx, EngineState& s, StepLocals& st) {
 
 // Algorithm 1's last step: train the Performance Predictor and the Novelty
 // Estimator on the downstream-scored sequences of the cold start.
-void ColdStartTrain(const RunContext& ctx, EngineState& s, int episode) {
+void ColdStartTrain(RunContext& ctx, EngineState& s, int episode) {
   const EngineConfig& config = ctx.config;
   const std::vector<SequenceRecord>& records = s.run.sequence_records;
   HealthReport& health = s.result.health;
@@ -780,7 +762,7 @@ bool FinetuneDue(const RunContext& ctx, const EngineState& s, int episode) {
 // down in finetune rounds; on expiry one probe pass decides between
 // re-arming (recovery) and doubling the backoff.
 template <typename Pass>
-void FinetuneComponent(const RunContext& ctx, EngineState& s, int episode,
+void FinetuneComponent(RunContext& ctx, EngineState& s, int episode,
                        ComponentHealth* component, const char* site,
                        Pass&& pass) {
   HealthReport& health = s.result.health;
@@ -813,7 +795,7 @@ void FinetuneComponent(const RunContext& ctx, EngineState& s, int episode,
 
 // Algorithm 2's periodic finetune of both evaluation components on a
 // uniform sample of the replay memory.
-void Finetune(const RunContext& ctx, EngineState& s, int episode) {
+void Finetune(RunContext& ctx, EngineState& s, int episode) {
   obs::TraceSpan phase("engine/finetune", &s.result.times.optimization_ns);
   std::vector<int> indices =
       s.buffer.UniformSampleIndices(ctx.config.finetune_batch, &s.rng);
@@ -862,8 +844,8 @@ void WriteSnapshot(RunContext& ctx, EngineState& s) {
 
 // Episode boundary: flush the episode's decision events, then snapshot the
 // state. Only completed episodes get here — an interrupted one replays on
-// resume, so its partial events stay in the rings and are discarded when
-// the session closes (a flush would duplicate them after the resume).
+// resume, so its partial events stay pending and die with the stream (a
+// flush would duplicate them after the resume).
 void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
   const EngineConfig& config = ctx.config;
   EngineResult& result = s.result;
@@ -876,11 +858,9 @@ void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
     boundary.global_step = s.run.global_step;
     boundary.best_score = result.best_score;
     boundary.replay_size = static_cast<int32_t>(s.buffer.size());
-    obs::Emit(boundary);
-    obs::DrainedEvents drained = obs::DrainRecordedEvents();
-    result.recorded_events += static_cast<int64_t>(drained.events.size());
-    result.recorded_dropped += drained.TotalDropped();
-    Status flushed = ctx.record_stream->FlushEpisode(episode, drained);
+    ctx.record_stream->Append(boundary);
+    result.recorded_events += ctx.record_stream->pending_events();
+    Status flushed = ctx.record_stream->FlushEpisode(episode);
     if (!flushed.ok()) {
       FASTFT_LOG(Warning) << "record flush to '" << config.record_path
                           << "' failed: " << flushed.ToString()
@@ -938,7 +918,7 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
         " (check inputs with Dataset::Validate() before Run)");
   }
   FASTFT_RETURN_NOT_OK(ValidateEngineConfig(config_));
-  ObsSession obs_session(config_);
+  TraceSession trace_session(config_);
   FASTFT_TRACE_SPAN("engine/run");
   // Metrics delta: counting is always on; the snapshot pair brackets this
   // run so EngineResult::metrics reports only what the run itself did.
@@ -947,7 +927,7 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
     metrics_start = obs::MetricsRegistry::Global().Snapshot();
   }
 
-  RunContext ctx(config_, dataset, obs_session.recording());
+  RunContext ctx(config_, dataset);
   std::unique_ptr<EngineState> state = SetupOrResume(ctx);
   EngineState& s = *state;
   bool interrupted = ctx.deadline.Expired();

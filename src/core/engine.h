@@ -128,8 +128,8 @@ struct EngineConfig {
   /// Per-thread span ring capacity while tracing (drop-oldest beyond this;
   /// the export reports how many were dropped).
   int trace_ring_capacity = 65536;
-  /// Capture a per-run metrics snapshot (counters/gauges/histograms delta
-  /// over the run) into EngineResult::metrics. Counting is always on
+  /// Capture a per-run metrics snapshot (counters/histograms delta over the
+  /// run) into EngineResult::metrics. Counting is always on
   /// process-wide; this only gates the snapshot.
   bool metrics = true;
 
@@ -141,9 +141,6 @@ struct EngineConfig {
   /// on resume the stream reopens at the checkpoint's episode cursor so
   /// kill → resume yields one coherent stream.
   std::string record_path;
-  /// Per-thread decision-event ring capacity while recording (drop-oldest
-  /// beyond this; the stream carries exact per-thread dropped counters).
-  int record_ring_capacity = 16384;
 
   /// When non-empty, Run() snapshots its full state here (atomically: temp
   /// file + fsync + rename) at episode boundaries. Checkpointing never
@@ -218,7 +215,7 @@ struct EngineResult {
   /// the run (all zero on a healthy run).
   HealthReport health;
   /// Delta of the process-wide metrics registry over this run (counters,
-  /// gauges, histograms) when EngineConfig::metrics is set; empty otherwise.
+  /// histograms) when EngineConfig::metrics is set; empty otherwise.
   obs::MetricsSnapshot metrics;
   /// True when the run stopped early on the wall-clock budget or the
   /// cancel flag; the result is then a valid partial report covering
@@ -232,6 +229,8 @@ struct EngineResult {
   /// stay OUT of the run report, which is byte-identical with recording on
   /// or off.
   int64_t recorded_events = 0;
+  /// 0 by construction: the record stream buffers every event of an
+  /// episode and drops none.
   int64_t recorded_dropped = 0;
 };
 

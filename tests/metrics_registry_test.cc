@@ -1,4 +1,4 @@
-// Tests of the fastft::obs metrics layer: counter/gauge/histogram
+// Tests of the fastft::obs metrics layer: counter/histogram
 // semantics, registry identity, snapshot deltas, concurrent increments, and
 // the JSON export shape.
 
@@ -27,18 +27,9 @@ TEST(MetricsRegistryTest, CounterIncrements) {
 TEST(MetricsRegistryTest, SameNameSamePointer) {
   obs::MetricsRegistry registry;
   EXPECT_EQ(registry.GetCounter("a"), registry.GetCounter("a"));
-  EXPECT_EQ(registry.GetGauge("g"), registry.GetGauge("g"));
   EXPECT_EQ(registry.GetHistogram("h", {1.0, 2.0}),
             registry.GetHistogram("h", {9.0}));  // bounds fixed on first use
   EXPECT_NE(registry.GetCounter("a"), registry.GetCounter("b"));
-}
-
-TEST(MetricsRegistryTest, GaugeKeepsLastValue) {
-  obs::MetricsRegistry registry;
-  obs::Gauge* gauge = registry.GetGauge("test.gauge");
-  gauge->Set(3.5);
-  gauge->Set(-1.25);
-  EXPECT_DOUBLE_EQ(gauge->Value(), -1.25);
 }
 
 TEST(MetricsRegistryTest, HistogramBucketsValues) {
@@ -84,15 +75,16 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsLoseNothing) {
 TEST(MetricsRegistryTest, SnapshotFindsByName) {
   obs::MetricsRegistry registry;
   registry.GetCounter("c.one")->Increment(7);
-  registry.GetGauge("g.one")->Set(2.5);
+  registry.GetHistogram("h.one", {1.0})->Observe(2.5);
   obs::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_FALSE(snapshot.empty());
   EXPECT_EQ(snapshot.CounterValue("c.one"), 7);
   EXPECT_EQ(snapshot.CounterValue("c.absent"), 0);
-  const obs::MetricValue* gauge = snapshot.Find("g.one");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->kind, obs::MetricKind::kGauge);
-  EXPECT_DOUBLE_EQ(gauge->gauge, 2.5);
+  EXPECT_EQ(snapshot.CounterValue("h.one"), 0);  // not a counter
+  const obs::MetricValue* histogram = snapshot.Find("h.one");
+  ASSERT_NE(histogram, nullptr);
+  EXPECT_EQ(histogram->kind, obs::MetricKind::kHistogram);
+  EXPECT_DOUBLE_EQ(histogram->histogram.sum, 2.5);
 }
 
 TEST(MetricsRegistryTest, DeltaSubtractsAndDropsZeroes) {
@@ -133,17 +125,15 @@ TEST(MetricsRegistryTest, MetricNewAfterStartPassesThroughDelta) {
 TEST(MetricsRegistryTest, ToJsonShape) {
   obs::MetricsRegistry registry;
   registry.GetCounter("c.n")->Increment(2);
-  registry.GetGauge("g.v")->Set(1.5);
   registry.GetHistogram("h.us", {10.0})->Observe(3.0);
   std::string json = registry.Snapshot().ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"c.n\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"+Inf\""), std::string::npos);
 
   obs::MetricsSnapshot empty;
-  EXPECT_NE(empty.ToJson().find("\"counters\": {}"), std::string::npos);
+  EXPECT_EQ(empty.ToJson(), "{\"counters\": {}, \"histograms\": {}}");
 }
 
 TEST(MetricsRegistryTest, GlobalIsProcessWide) {

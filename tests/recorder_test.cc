@@ -1,19 +1,15 @@
-// Tests of the fastft::obs flight recorder: ring semantics with exact
-// dropped-event counters (including concurrent multi-thread emission), the
-// versioned on-disk stream (round-trip, corruption rejection, resume
-// truncation, crash-during-write atomicity), the engine integration
-// (record_path wiring + recording-on/off bit-identity at 1 and 4 threads),
-// and the recorder knobs of ValidateEngineConfig.
+// Tests of the fastft::obs flight recorder: the versioned on-disk stream
+// (round-trip, corruption rejection, resume truncation, crash-during-write
+// atomicity), the engine integration (record_path wiring, recording-on/off
+// bit-identity at 1 and 4 threads, and overlapping recorded runs that each
+// write their own stream), and the recorder knob of ValidateEngineConfig.
 
 #include "common/recorder.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <future>
 #include <limits>
-#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,22 +19,11 @@
 
 #include "common/fault.h"
 #include "common/fs.h"
-#include "common/trace.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
 
 namespace fastft {
 namespace {
-
-// Every test stops recording on exit so a failing assertion cannot leave
-// the recorder armed for unrelated tests in this binary.
-class RecorderTest : public ::testing::Test {
- protected:
-  ~RecorderTest() override {
-    obs::StopRecording();
-    obs::DrainRecordedEvents();  // leave empty rings for the next test
-  }
-};
 
 // NaN-aware double comparison: runner_up_score is NaN with < 2 candidates
 // and must survive serialization bit-for-bit in spirit (NaN stays NaN).
@@ -123,25 +108,14 @@ obs::RecordEvent MakeEpisodeEvent(int episode, double best_score) {
   return e;
 }
 
-TEST_F(RecorderTest, DisabledRecordsNothing) {
-  ASSERT_FALSE(obs::RecordingActive());
-  obs::Emit(MakeDecisionEvent(0));
-  obs::DrainedEvents drained = obs::DrainRecordedEvents();
-  EXPECT_TRUE(drained.events.empty());
-  EXPECT_EQ(drained.TotalDropped(), 0);
+// Appends `events` to `stream` and flushes them as episode `episode`'s block.
+Status FlushEvents(obs::RecordStream* stream, int32_t episode,
+                   const std::vector<obs::RecordEvent>& events) {
+  for (const obs::RecordEvent& e : events) stream->Append(e);
+  return stream->FlushEpisode(episode);
 }
 
-TEST_F(RecorderTest, StopFreezesRings) {
-  obs::StartRecording();
-  obs::Emit(MakeDecisionEvent(0));
-  obs::StopRecording();
-  obs::Emit(MakeDecisionEvent(1));  // after stop: must not land
-  obs::DrainedEvents drained = obs::DrainRecordedEvents();
-  ASSERT_EQ(drained.events.size(), 1u);
-  EXPECT_EQ(drained.events[0].step, 0);
-}
-
-TEST_F(RecorderTest, StreamRoundTripsEveryEventKind) {
+TEST(RecorderTest, StreamRoundTripsEveryEventKind) {
   const std::string path = ::testing::TempDir() + "/fastft_roundtrip.ffr";
   std::remove(path.c_str());
 
@@ -162,15 +136,11 @@ TEST_F(RecorderTest, StreamRoundTripsEveryEventKind) {
 
   std::vector<obs::RecordEvent> emitted = {MakeDecisionEvent(2), fault, health,
                                            MakeEpisodeEvent(1, 0.875)};
-  obs::StartRecording();
-  for (const obs::RecordEvent& e : emitted) obs::Emit(e);
-  obs::StopRecording();
-  obs::DrainedEvents drained = obs::DrainRecordedEvents();
-  ASSERT_EQ(drained.events.size(), emitted.size());
-  EXPECT_EQ(drained.TotalDropped(), 0);
-
   obs::RecordStream stream = obs::RecordStream::Open(path, 0);
-  ASSERT_TRUE(stream.FlushEpisode(1, drained).ok());
+  for (const obs::RecordEvent& e : emitted) stream.Append(e);
+  EXPECT_EQ(stream.pending_events(), static_cast<int64_t>(emitted.size()));
+  ASSERT_TRUE(stream.FlushEpisode(1).ok());
+  EXPECT_EQ(stream.pending_events(), 0);
   EXPECT_EQ(stream.episode_blocks(), 1);
 
   Result<obs::DecodedRecordStream> decoded = obs::ReadRecordStream(path);
@@ -185,155 +155,16 @@ TEST_F(RecorderTest, StreamRoundTripsEveryEventKind) {
   std::remove(path.c_str());
 }
 
-TEST_F(RecorderTest, RingDropsOldestWithExactCounter) {
-  obs::RecorderOptions options;
-  options.ring_capacity = 4;
-  obs::StartRecording(options);
-  for (int i = 0; i < 10; ++i) obs::Emit(MakeDecisionEvent(i));
-  obs::StopRecording();
-
-  obs::DrainedEvents drained = obs::DrainRecordedEvents();
-  ASSERT_EQ(drained.events.size(), 4u);
-  // Oldest-first retention of the newest four.
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(drained.events[i].step, 6 + i);
-  ASSERT_EQ(drained.dropped_by_tid.size(), 1u);
-  EXPECT_EQ(drained.dropped_by_tid.begin()->second, 6);
-  EXPECT_EQ(drained.TotalDropped(), 6);
-
-  // Drain reset the ring and its counter.
-  obs::DrainedEvents again = obs::DrainRecordedEvents();
-  EXPECT_TRUE(again.events.empty());
-  EXPECT_EQ(again.TotalDropped(), 0);
-}
-
-TEST_F(RecorderTest, ConcurrentEmissionKeepsExactDroppedCounters) {
-  constexpr int kThreads = 4;
-  constexpr int kCapacity = 16;
-  obs::RecorderOptions options;
-  options.ring_capacity = kCapacity;
-  obs::StartRecording(options);
-
-  // Thread k emits 100+k events so every per-thread dropped total is
-  // distinct: kept = 16, dropped = 84 + k.
-  std::vector<std::thread> threads;
-  for (int k = 0; k < kThreads; ++k) {
-    threads.emplace_back([k] {
-      for (int i = 0; i < 100 + k; ++i) {
-        obs::RecordEvent e = MakeDecisionEvent(i);
-        e.global_step = k;  // marks the emitting thread
-        obs::Emit(e);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  obs::StopRecording();
-
-  obs::DrainedEvents drained = obs::DrainRecordedEvents();
-  ASSERT_EQ(drained.events.size(),
-            static_cast<size_t>(kThreads * kCapacity));
-  ASSERT_EQ(drained.dropped_by_tid.size(), static_cast<size_t>(kThreads));
-  std::vector<int64_t> dropped;
-  for (const auto& [tid, n] : drained.dropped_by_tid) dropped.push_back(n);
-  std::sort(dropped.begin(), dropped.end());
-  EXPECT_EQ(dropped, (std::vector<int64_t>{84, 85, 86, 87}));
-  EXPECT_EQ(drained.TotalDropped(), 84 + 85 + 86 + 87);
-
-  // Each thread's surviving window is exactly its newest kCapacity events,
-  // oldest first.
-  for (int k = 0; k < kThreads; ++k) {
-    std::vector<int> steps;
-    for (const obs::RecordEvent& e : drained.events) {
-      if (e.global_step == k) steps.push_back(e.step);
-    }
-    ASSERT_EQ(steps.size(), static_cast<size_t>(kCapacity)) << "thread " << k;
-    for (int i = 0; i < kCapacity; ++i) {
-      EXPECT_EQ(steps[i], (100 + k) - kCapacity + i) << "thread " << k;
-    }
-  }
-
-  // The decoded stream's droppedEvents section reconciles exactly with the
-  // emission arithmetic above — the counters survive the disk round-trip.
-  const std::string path = ::testing::TempDir() + "/fastft_dropped.ffr";
-  std::remove(path.c_str());
-  obs::RecordStream stream = obs::RecordStream::Open(path, 0);
-  ASSERT_TRUE(stream.FlushEpisode(0, drained).ok());
-  Result<obs::DecodedRecordStream> decoded = obs::ReadRecordStream(path);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().dropped_by_tid, drained.dropped_by_tid);
-  EXPECT_EQ(decoded.value().TotalDropped(), drained.TotalDropped());
-  std::remove(path.c_str());
-}
-
-TEST_F(RecorderTest, DroppedCountersAreKeyedByTheTraceAndLogThreadId) {
-  // The recorder, the tracer and FASTFT_LOG share one thread registry, so a
-  // dropped-counter key names the same thread as its trace `tid` and its
-  // log `T<n>` — even when threads emit in the opposite order to the one
-  // they registered in.
-  constexpr int kCapacity = 8;
-  obs::TraceOptions trace_options;
-  trace_options.ring_capacity = kCapacity;
-  obs::StartTracing(trace_options);
-  obs::RecorderOptions options;
-  options.ring_capacity = kCapacity;
-  obs::StartRecording(options);
-
-  // Thread k emits kCapacity + 3 + 2k events, so it drops 3 + 2k.
-  auto emit = [](int k) {
-    FASTFT_TRACE_SPAN("test/emitter");
-    for (int i = 0; i < kCapacity + 3 + 2 * k; ++i) {
-      obs::Emit(MakeDecisionEvent(i));
-    }
-  };
-  int tid_a = -1;
-  int tid_b = -1;
-  std::promise<void> a_registered;
-  std::promise<void> a_go;
-  std::thread a([&] {
-    tid_a = obs::RegisterThisThread("recorder-test-a");
-    EXPECT_EQ(obs::CurrentThreadId(), tid_a);
-    a_registered.set_value();
-    a_go.get_future().wait();
-    emit(0);
-  });
-  a_registered.get_future().wait();
-  std::thread b([&] {
-    tid_b = obs::RegisterThisThread("recorder-test-b");
-    EXPECT_EQ(obs::CurrentThreadId(), tid_b);
-    emit(1);  // B emits before A
-  });
-  b.join();
-  a_go.set_value();
-  a.join();
-  obs::StopRecording();
-  obs::StopTracing();
-
-  ASSERT_LT(tid_a, tid_b);
-  obs::DrainedEvents drained = obs::DrainRecordedEvents();
-  EXPECT_EQ(drained.dropped_by_tid, (std::map<int, int64_t>{{tid_a, 3},
-                                                            {tid_b, 5}}));
-  obs::TraceSnapshot snapshot = obs::SnapshotTrace();
-  ASSERT_GT(snapshot.threads.size(), static_cast<size_t>(tid_b));
-  for (auto [tid, name] :
-       {std::pair<int, const char*>{tid_a, "recorder-test-a"},
-        {tid_b, "recorder-test-b"}}) {
-    const obs::ThreadTrace& trace = snapshot.threads[tid];
-    EXPECT_EQ(trace.tid, tid);
-    EXPECT_EQ(trace.thread_name, name);
-    ASSERT_EQ(trace.events.size(), 1u) << name;
-    EXPECT_STREQ(trace.events[0].name, "test/emitter");
-  }
-}
-
-TEST_F(RecorderTest, ResumeKeepsBlocksBeforeTheCursor) {
+TEST(RecorderTest, ResumeKeepsBlocksBeforeTheCursor) {
   const std::string path = ::testing::TempDir() + "/fastft_resume.ffr";
   std::remove(path.c_str());
 
   {
     obs::RecordStream stream = obs::RecordStream::Open(path, 0);
     for (int episode = 0; episode < 4; ++episode) {
-      obs::DrainedEvents drained;
-      drained.events.push_back(MakeEpisodeEvent(episode, 0.1 * episode));
-      ASSERT_TRUE(stream.FlushEpisode(episode, drained).ok());
+      ASSERT_TRUE(FlushEvents(&stream, episode,
+                              {MakeEpisodeEvent(episode, 0.1 * episode)})
+                      .ok());
     }
     EXPECT_EQ(stream.episode_blocks(), 4);
   }
@@ -342,9 +173,7 @@ TEST_F(RecorderTest, ResumeKeepsBlocksBeforeTheCursor) {
   // episode and anything stale after it) are dropped and re-flushed.
   obs::RecordStream resumed = obs::RecordStream::Open(path, 2);
   EXPECT_EQ(resumed.episode_blocks(), 2);
-  obs::DrainedEvents replayed;
-  replayed.events.push_back(MakeEpisodeEvent(2, 42.0));
-  ASSERT_TRUE(resumed.FlushEpisode(2, replayed).ok());
+  ASSERT_TRUE(FlushEvents(&resumed, 2, {MakeEpisodeEvent(2, 42.0)}).ok());
 
   Result<obs::DecodedRecordStream> decoded = obs::ReadRecordStream(path);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -356,16 +185,14 @@ TEST_F(RecorderTest, ResumeKeepsBlocksBeforeTheCursor) {
   // A fresh (non-resume) open discards the whole existing stream.
   obs::RecordStream fresh = obs::RecordStream::Open(path, 0);
   EXPECT_EQ(fresh.episode_blocks(), 0);
-  obs::DrainedEvents first;
-  first.events.push_back(MakeEpisodeEvent(0, 1.0));
-  ASSERT_TRUE(fresh.FlushEpisode(0, first).ok());
+  ASSERT_TRUE(FlushEvents(&fresh, 0, {MakeEpisodeEvent(0, 1.0)}).ok());
   decoded = obs::ReadRecordStream(path);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().episodes, std::vector<int32_t>{0});
   std::remove(path.c_str());
 }
 
-TEST_F(RecorderTest, UnreadableStreamIsDiscardedOnResume) {
+TEST(RecorderTest, UnreadableStreamIsDiscardedOnResume) {
   const std::string path = ::testing::TempDir() + "/fastft_garbage.ffr";
   ASSERT_TRUE(common::AtomicWriteFile(path, "this is not a record stream").ok());
 
@@ -373,24 +200,20 @@ TEST_F(RecorderTest, UnreadableStreamIsDiscardedOnResume) {
   // and the stream restarts from the resume cursor.
   obs::RecordStream stream = obs::RecordStream::Open(path, 3);
   EXPECT_EQ(stream.episode_blocks(), 0);
-  obs::DrainedEvents drained;
-  drained.events.push_back(MakeEpisodeEvent(3, 0.5));
-  ASSERT_TRUE(stream.FlushEpisode(3, drained).ok());
+  ASSERT_TRUE(FlushEvents(&stream, 3, {MakeEpisodeEvent(3, 0.5)}).ok());
   Result<obs::DecodedRecordStream> decoded = obs::ReadRecordStream(path);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().episodes, std::vector<int32_t>{3});
   std::remove(path.c_str());
 }
 
-TEST_F(RecorderTest, CorruptStreamsAreRejectedWithDiagnostics) {
+TEST(RecorderTest, CorruptStreamsAreRejectedWithDiagnostics) {
   const std::string path = ::testing::TempDir() + "/fastft_corrupt.ffr";
   std::remove(path.c_str());
   EXPECT_FALSE(obs::ReadRecordStream(path).ok()) << "missing file";
 
   obs::RecordStream stream = obs::RecordStream::Open(path, 0);
-  obs::DrainedEvents drained;
-  drained.events.push_back(MakeDecisionEvent(0));
-  ASSERT_TRUE(stream.FlushEpisode(0, drained).ok());
+  ASSERT_TRUE(FlushEvents(&stream, 0, {MakeDecisionEvent(0)}).ok());
   std::string valid;
   ASSERT_TRUE(common::ReadFileToString(path, &valid).ok());
   ASSERT_TRUE(obs::ReadRecordStream(path).ok());
@@ -426,7 +249,7 @@ TEST_F(RecorderTest, CorruptStreamsAreRejectedWithDiagnostics) {
   std::remove(path.c_str());
 }
 
-TEST_F(RecorderTest, CrashDuringFlushLeavesPreviousEpisodesIntact) {
+TEST(RecorderTest, CrashDuringFlushLeavesPreviousEpisodesIntact) {
   // Threadsafe style re-executes the binary for the death statement, so the
   // fork is safe even with pool workers alive from earlier tests.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
@@ -434,9 +257,7 @@ TEST_F(RecorderTest, CrashDuringFlushLeavesPreviousEpisodesIntact) {
   std::remove(path.c_str());
 
   obs::RecordStream stream = obs::RecordStream::Open(path, 0);
-  obs::DrainedEvents episode0;
-  episode0.events.push_back(MakeEpisodeEvent(0, 0.25));
-  ASSERT_TRUE(stream.FlushEpisode(0, episode0).ok());
+  ASSERT_TRUE(FlushEvents(&stream, 0, {MakeEpisodeEvent(0, 0.25)}).ok());
   std::string before;
   ASSERT_TRUE(common::ReadFileToString(path, &before).ok());
 
@@ -446,9 +267,7 @@ TEST_F(RecorderTest, CrashDuringFlushLeavesPreviousEpisodesIntact) {
       {
         FaultInjector::ArmKill({{"fs/atomic_write", 0}}, KillMode::kExit);
         obs::RecordStream resumed = obs::RecordStream::Open(path, 1);
-        obs::DrainedEvents episode1;
-        episode1.events.push_back(MakeEpisodeEvent(1, 0.5));
-        (void)resumed.FlushEpisode(1, episode1);
+        (void)FlushEvents(&resumed, 1, {MakeEpisodeEvent(1, 0.5)});
       },
       ::testing::ExitedWithCode(137), "");
 
@@ -463,7 +282,7 @@ TEST_F(RecorderTest, CrashDuringFlushLeavesPreviousEpisodesIntact) {
   std::remove(path.c_str());
 }
 
-TEST_F(RecorderTest, EngineRecordingIsBitIdenticalOnOffAndAcrossThreads) {
+TEST(RecorderTest, EngineRecordingIsBitIdenticalOnOffAndAcrossThreads) {
   SyntheticSpec spec;
   spec.samples = 60;
   spec.features = 5;
@@ -551,7 +370,66 @@ TEST_F(RecorderTest, EngineRecordingIsBitIdenticalOnOffAndAcrossThreads) {
   std::remove(path4.c_str());
 }
 
-TEST_F(RecorderTest, ValidateEngineConfigChecksRecorderKnobs) {
+TEST(RecorderTest, ConcurrentRunsWriteTheirOwnStreams) {
+  // Two recorded runs of different seeds, first alone, then overlapping on
+  // two threads: events belong to the run that appended them, so each
+  // overlapped run writes its solo stream byte for byte.
+  SyntheticSpec spec;
+  spec.samples = 60;
+  spec.features = 5;
+  spec.seed = 5;
+  const Dataset dataset = MakeClassification(spec);
+  const uint64_t seeds[2] = {17, 29};
+  auto run = [&](int k, const std::string& record_path) {
+    EngineConfig config;
+    config.episodes = 6;
+    config.steps_per_episode = 4;
+    config.cold_start_episodes = 2;
+    config.seed = seeds[k];
+    config.record_path = record_path;
+    Result<EngineResult> result = FastFtEngine(config).Run(dataset);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result.value().recorded_events : int64_t{-1};
+  };
+  auto path = [](const char* role, int k) {
+    return ::testing::TempDir() + "/fastft_" + role + "_" + std::to_string(k) +
+           ".ffr";
+  };
+
+  std::string solo_bytes[2];
+  int64_t solo_events[2];
+  for (int k = 0; k < 2; ++k) {
+    solo_events[k] = run(k, path("solo", k));
+    ASSERT_TRUE(
+        common::ReadFileToString(path("solo", k), &solo_bytes[k]).ok());
+    std::remove(path("solo", k).c_str());
+  }
+  ASSERT_NE(solo_bytes[0], solo_bytes[1]);
+
+  std::promise<void> go;
+  std::shared_future<void> start = go.get_future().share();
+  int64_t overlap_events[2] = {-1, -1};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 2; ++k) {
+    threads.emplace_back([&, k] {
+      start.wait();
+      overlap_events[k] = run(k, path("overlap", k));
+    });
+  }
+  go.set_value();
+  for (std::thread& t : threads) t.join();
+
+  for (int k = 0; k < 2; ++k) {
+    std::string bytes;
+    ASSERT_TRUE(common::ReadFileToString(path("overlap", k), &bytes).ok());
+    EXPECT_EQ(overlap_events[k], solo_events[k]) << "run " << k;
+    EXPECT_EQ(bytes.size(), solo_bytes[k].size()) << "run " << k;
+    EXPECT_TRUE(bytes == solo_bytes[k]) << "run " << k << " stream differs";
+    std::remove(path("overlap", k).c_str());
+  }
+}
+
+TEST(RecorderTest, ValidateEngineConfigChecksRecorderKnobs) {
   EngineConfig config;
   config.record_path = "run.ffr";
   ASSERT_TRUE(ValidateEngineConfig(config).ok());
@@ -561,22 +439,6 @@ TEST_F(RecorderTest, ValidateEngineConfigChecksRecorderKnobs) {
   Status dir = ValidateEngineConfig(config);
   ASSERT_FALSE(dir.ok());
   EXPECT_NE(dir.message().find("record_path"), std::string::npos);
-
-  // Non-positive ring capacity is rejected while recording...
-  config.record_path = "run.ffr";
-  for (int capacity : {0, -16384}) {
-    config.record_ring_capacity = capacity;
-    Status bad = ValidateEngineConfig(config);
-    ASSERT_FALSE(bad.ok()) << capacity;
-    EXPECT_NE(bad.message().find("record_ring_capacity"), std::string::npos);
-  }
-  config.record_ring_capacity = 1;
-  EXPECT_TRUE(ValidateEngineConfig(config).ok());
-
-  // ...but irrelevant when recording is off.
-  config.record_path.clear();
-  config.record_ring_capacity = 0;
-  EXPECT_TRUE(ValidateEngineConfig(config).ok());
 }
 
 }  // namespace

@@ -62,19 +62,6 @@ TEST(ThreadPoolTest, ParallelForPropagatesFirstException) {
   EXPECT_EQ(sum.load(), 99 * 100 / 2);
 }
 
-TEST(ThreadPoolTest, SubmitRunsTasksInFifoOrderOnOneWorker) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit([&order, i] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  std::vector<int> expected(16);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
 TEST(ThreadPoolTest, ReusableAcrossManyParallelForCalls) {
   ThreadPool pool(3);
   for (int round = 0; round < 50; ++round) {

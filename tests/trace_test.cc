@@ -1,6 +1,6 @@
 // Tests of the fastft::obs tracing layer: ring semantics, aggregation,
-// Chrome-trace export, pool-worker attribution, and the engine integration
-// (trace_path wiring + determinism cross-checks).
+// Chrome-trace export, pool-worker attribution, thread-registry ids, and the
+// engine integration (trace_path wiring + determinism cross-checks).
 
 #include "common/trace.h"
 
@@ -10,6 +10,8 @@
 #include <future>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -236,23 +238,24 @@ TEST_F(TraceTest, PoolWorkersAttributeSpansToNamedThreads) {
   obs::StartTracing();
   // A private pool guarantees real worker threads even on a single-core
   // host (the shared pool would have zero workers there).
+  constexpr int kWorkers = 2;
+  constexpr int kLoops = 4;
   {
-    common::ThreadPool pool(2);
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 8; ++i) {
-      futures.push_back(pool.Submit([] {
+    common::ThreadPool pool(kWorkers);
+    for (int loop = 0; loop < kLoops; ++loop) {
+      pool.ParallelFor(0, 8, kWorkers + 1, [](int64_t) {
         volatile double sink = 0.0;
         // Plain assignment: compound ops on volatile are deprecated in C++20.
         for (int k = 0; k < 1000; ++k) sink = sink + static_cast<double>(k);
-      }));
+      });
     }
-    for (std::future<void>& f : futures) f.get();
   }
   obs::StopTracing();
 
   obs::TraceSnapshot snapshot = obs::SnapshotTrace();
-  // Every Submit goes through the instrumented queue: 8 pool/task spans,
-  // all recorded on threads registered as pool workers.
+  // Each ParallelFor enqueues one task per worker (the caller runs its
+  // share inline, outside the queue), and every enqueued task is one
+  // pool/task span, recorded on a thread registered as a pool worker.
   int64_t pool_spans = 0;
   for (const obs::ThreadTrace& thread : snapshot.threads) {
     for (const obs::SpanEvent& event : thread.events) {
@@ -262,7 +265,61 @@ TEST_F(TraceTest, PoolWorkersAttributeSpansToNamedThreads) {
           << "pool/task span on thread '" << thread.thread_name << "'";
     }
   }
-  EXPECT_EQ(pool_spans, 8);
+  EXPECT_EQ(pool_spans, kLoops * kWorkers);
+}
+
+TEST_F(TraceTest, ThreadIdsFollowRegistrationNotEmissionOrder) {
+  // The tracer and FASTFT_LOG share one thread registry: the first name a
+  // thread registers wins, and its spans and dropped counter stay keyed by
+  // its tid even when threads emit in the opposite order to the one they
+  // registered in.
+  constexpr int kCapacity = 8;
+  obs::TraceOptions options;
+  options.ring_capacity = kCapacity;
+  obs::StartTracing(options);
+
+  // Thread k records kCapacity + 3 + 2k spans, so it drops 3 + 2k.
+  auto emit = [](int k) {
+    for (int i = 0; i < kCapacity + 3 + 2 * k; ++i) {
+      FASTFT_TRACE_SPAN("test/emitter");
+    }
+  };
+  int tid_a = -1;
+  int tid_b = -1;
+  std::promise<void> a_registered;
+  std::promise<void> a_go;
+  std::thread a([&] {
+    tid_a = obs::RegisterThisThread("trace-test-a");
+    EXPECT_EQ(obs::RegisterThisThread("trace-test-renamed"), tid_a);
+    EXPECT_EQ(obs::CurrentThreadId(), tid_a);
+    a_registered.set_value();
+    a_go.get_future().wait();
+    emit(0);
+  });
+  a_registered.get_future().wait();
+  std::thread b([&] {
+    tid_b = obs::RegisterThisThread("trace-test-b");
+    EXPECT_EQ(obs::CurrentThreadId(), tid_b);
+    emit(1);  // B emits before A
+  });
+  b.join();
+  a_go.set_value();
+  a.join();
+  obs::StopTracing();
+
+  ASSERT_LT(tid_a, tid_b);
+  obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+  ASSERT_GT(snapshot.threads.size(), static_cast<size_t>(tid_b));
+  for (auto [tid, name, dropped] :
+       {std::tuple<int, const char*, int64_t>{tid_a, "trace-test-a", 3},
+        {tid_b, "trace-test-b", 5}}) {
+    const obs::ThreadTrace& trace = snapshot.threads[tid];
+    EXPECT_EQ(trace.tid, tid);
+    EXPECT_EQ(trace.thread_name, name);
+    EXPECT_EQ(trace.dropped, dropped) << name;
+    ASSERT_EQ(trace.events.size(), static_cast<size_t>(kCapacity)) << name;
+    EXPECT_STREQ(trace.events[0].name, "test/emitter");
+  }
 }
 
 TEST_F(TraceTest, EngineRunExportsTraceFile) {

@@ -105,7 +105,7 @@ assert stream["episode_marks"] == episodes, (
 assert stream["decisions"] == episodes * steps, (
     f"expected {episodes * steps} decisions, got {stream['decisions']}")
 assert stream["total_dropped"] == 0, (
-    f"events dropped in a tiny run: {stream['droppedEvents']}")
+    f"the writer drops nothing, yet droppedEvents is {stream['droppedEvents']}")
 
 eps = diag["episodes"]
 assert len(eps) == episodes, f"expected {episodes} episodes, got {len(eps)}"

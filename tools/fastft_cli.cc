@@ -139,8 +139,6 @@ EngineConfig ConfigFromArgs(const Args& args) {
   config.trace_ring_capacity =
       args.GetInt("trace-ring-capacity", config.trace_ring_capacity);
   config.record_path = args.Get("record-out");
-  config.record_ring_capacity =
-      args.GetInt("record-ring-capacity", config.record_ring_capacity);
   if (args.Has("checkpoint-dir")) {
     config.checkpoint_path = args.Get("checkpoint-dir") + "/fastft.ckpt";
   }

@@ -4,9 +4,9 @@
 //
 // Decodes a stream written by --record-out (common/recorder.h) and emits one
 // JSON document of exploration diagnostics:
-//   * stream        envelope summary + exact per-thread dropped counters
-//                   ("droppedEvents"), keyed by the same thread ids as the
-//                   Chrome trace's `tid` and the log's `T<n>` prefix
+//   * stream        envelope summary + the format's per-thread dropped
+//                   table ("droppedEvents"); the writer buffers whole
+//                   episodes and drops nothing, so it is empty
 //   * episodes      per-episode curves: novelty decay (the Eq. 6 ε_i weight
 //                   and the centered bonus actually paid), action entropy of
 //                   each cascading agent, mean chosen score and
