@@ -315,12 +315,52 @@ void BM_MutualInformation(benchmark::State& state) {
 }
 BENCHMARK(BM_MutualInformation)->Arg(500)->Arg(5000);
 
-void BM_ClusterFeatures(benchmark::State& state) {
-  Dataset ds = BenchDataset(400, static_cast<int>(state.range(0)));
-  FeatureSpace space(ds);
-  for (auto _ : state) benchmark::DoNotOptimize(ClusterFeatures(space));
+// A feature space with `originals` columns and the engine's budget rule.
+FeatureSpace BenchSpace(int originals) {
+  FeatureSpaceConfig config;
+  config.max_features = std::max(config.max_features, originals + 16);
+  return FeatureSpace(BenchDataset(400, originals), config);
 }
-BENCHMARK(BM_ClusterFeatures)->Arg(8)->Arg(16)->Arg(32);
+
+// One crossing of about ten new columns, as an engine step makes.
+void CrossOnce(FeatureSpace* space, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int> head, tail;
+  for (int k = 0; k < 4; ++k) {
+    head.push_back(rng.UniformInt(space->NumColumns()));
+    tail.push_back(rng.UniformInt(space->NumColumns()));
+  }
+  space->ApplyOperation(OpType::kMul, head, tail, &rng);
+}
+
+// First clustering of a fresh space: every pair of columns is computed.
+void BM_ClusterFeaturesCold(benchmark::State& state) {
+  const FeatureSpace fresh = BenchSpace(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    FeatureSpace space = fresh;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(ClusterFeatures(space));
+  }
+}
+BENCHMARK(BM_ClusterFeaturesCold)->Arg(32)->Arg(48);
+
+// The per-step cost the engine pays: a full space, clustered at the last
+// step, gains about ten columns, the budget evicts as many, and only pairs
+// with a new column are computed.
+void BM_ClusterFeaturesSteady(benchmark::State& state) {
+  FeatureSpace warm = BenchSpace(static_cast<int>(state.range(0)));
+  for (uint64_t step = 0; step < 4; ++step) CrossOnce(&warm, step);
+  ClusterFeatures(warm);
+  for (auto _ : state) {
+    state.PauseTiming();
+    FeatureSpace space = warm;
+    CrossOnce(&space, 99);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(ClusterFeatures(space));
+  }
+}
+BENCHMARK(BM_ClusterFeaturesSteady)->Arg(32)->Arg(48);
 
 void BM_StateRepresentation(benchmark::State& state) {
   Dataset ds = BenchDataset(400, 16);

@@ -13,8 +13,9 @@ namespace {
 
 // Pairwise Eq. 2 numerator/denominator pieces cached per feature pair.
 struct PairwiseMi {
-  std::vector<double> relevance;          // MI(Fi, y)
-  std::vector<std::vector<double>> redundancy;  // MI(Fi, Fj)
+  int d = 0;
+  std::vector<double> relevance;   // MI(Fi, y)
+  std::vector<double> redundancy;  // MI(Fi, Fj) at [i * d + j]
 };
 
 PairwiseMi ComputePairwise(const DataFrame& frame,
@@ -22,16 +23,21 @@ PairwiseMi ComputePairwise(const DataFrame& frame,
                            int bins) {
   const int d = frame.NumCols();
   PairwiseMi out;
+  out.d = d;
   out.relevance = FeatureRelevance(frame, labels, task, bins);
-  // Pre-bin columns once.
-  std::vector<std::vector<int>> binned(d);
-  for (int c = 0; c < d; ++c) binned[c] = QuantileBin(frame.Col(c), bins);
-  out.redundancy.assign(d, std::vector<double>(d, 0.0));
+  // Bin and count columns once.
+  std::vector<std::vector<int>> binned(d), counts(d);
+  for (int c = 0; c < d; ++c) {
+    binned[c] = QuantileBin(frame.Col(c), bins);
+    counts[c] = BinCounts(binned[c]);
+  }
+  out.redundancy.assign(static_cast<size_t>(d) * d, 0.0);
   for (int i = 0; i < d; ++i) {
     for (int j = i + 1; j < d; ++j) {
-      double mi = DiscreteMutualInformation(binned[i], binned[j]);
-      out.redundancy[i][j] = mi;
-      out.redundancy[j][i] = mi;
+      double mi = CountedMutualInformation(binned[i], counts[i], binned[j],
+                                           counts[j]);
+      out.redundancy[static_cast<size_t>(i) * d + j] = mi;
+      out.redundancy[static_cast<size_t>(j) * d + i] = mi;
     }
   }
   return out;
@@ -43,7 +49,7 @@ double ClusterDistance(const std::vector<int>& a, const std::vector<int>& b,
   for (int fi : a) {
     for (int fj : b) {
       total += std::abs(mi.relevance[fi] - mi.relevance[fj]) /
-               (mi.redundancy[fi][fj] + varsigma);
+               (mi.redundancy[static_cast<size_t>(fi) * mi.d + fj] + varsigma);
     }
   }
   return total / (static_cast<double>(a.size()) *
@@ -52,18 +58,29 @@ double ClusterDistance(const std::vector<int>& a, const std::vector<int>& b,
 
 void MergeClusters(std::vector<std::vector<int>>* clusters,
                    const PairwiseMi& mi, const ClusteringConfig& config) {
-  auto merge_closest = [&](bool respect_threshold) -> bool {
-    if (static_cast<int>(clusters->size()) <= config.min_clusters) {
-      return false;
+  std::vector<std::vector<int>>& c = *clusters;
+  // dist[i][j] (i < j) is ClusterDistance(c[i], c[j]). A merge changes only
+  // the merged cluster, so only its distances are recomputed; the others
+  // are the values a full rescan would compute again.
+  std::vector<std::vector<double>> dist(c.size(),
+                                        std::vector<double>(c.size(), 0.0));
+  auto refresh = [&](size_t k) {
+    for (size_t other = 0; other < c.size(); ++other) {
+      if (other == k) continue;
+      const size_t i = std::min(k, other), j = std::max(k, other);
+      dist[i][j] = ClusterDistance(c[i], c[j], mi, config.varsigma);
     }
+  };
+  for (size_t k = 0; k < c.size(); ++k) refresh(k);
+
+  auto merge_closest = [&](bool respect_threshold) -> bool {
+    if (static_cast<int>(c.size()) <= config.min_clusters) return false;
     double best = std::numeric_limits<double>::infinity();
     int bi = -1, bj = -1;
-    for (size_t i = 0; i < clusters->size(); ++i) {
-      for (size_t j = i + 1; j < clusters->size(); ++j) {
-        double dist = ClusterDistance((*clusters)[i], (*clusters)[j], mi,
-                                      config.varsigma);
-        if (dist < best) {
-          best = dist;
+    for (size_t i = 0; i < c.size(); ++i) {
+      for (size_t j = i + 1; j < c.size(); ++j) {
+        if (dist[i][j] < best) {
+          best = dist[i][j];
           bi = static_cast<int>(i);
           bj = static_cast<int>(j);
         }
@@ -71,9 +88,11 @@ void MergeClusters(std::vector<std::vector<int>>* clusters,
     }
     if (bi < 0) return false;
     if (respect_threshold && best > config.distance_threshold) return false;
-    (*clusters)[bi].insert((*clusters)[bi].end(), (*clusters)[bj].begin(),
-                           (*clusters)[bj].end());
-    clusters->erase(clusters->begin() + bj);
+    c[bi].insert(c[bi].end(), c[bj].begin(), c[bj].end());
+    c.erase(c.begin() + bj);
+    dist.erase(dist.begin() + bj);
+    for (std::vector<double>& row : dist) row.erase(row.begin() + bj);
+    refresh(bi);
     return true;
   };
 
@@ -145,17 +164,18 @@ std::vector<std::vector<int>> ClusterFeatures(const FeatureSpace& space,
   std::vector<std::vector<int>> clusters = SingletonClusters(d);
   if (d <= config.min_clusters) return clusters;
 
-  // Reuse the FeatureSpace's cached bins and label relevances.
+  // Read the FeatureSpace's cached label relevances and pairwise MI; only
+  // pairs with a column added since the last call are computed.
   PairwiseMi mi;
+  mi.d = d;
   mi.relevance.resize(d);
   for (int c = 0; c < d; ++c) mi.relevance[c] = space.LabelRelevance(c);
-  mi.redundancy.assign(d, std::vector<double>(d, 0.0));
+  mi.redundancy.assign(static_cast<size_t>(d) * d, 0.0);
   for (int i = 0; i < d; ++i) {
     for (int j = i + 1; j < d; ++j) {
-      double value = DiscreteMutualInformation(space.BinnedValues(i),
-                                               space.BinnedValues(j));
-      mi.redundancy[i][j] = value;
-      mi.redundancy[j][i] = value;
+      const double value = space.Redundancy(i, j);
+      mi.redundancy[static_cast<size_t>(i) * d + j] = value;
+      mi.redundancy[static_cast<size_t>(j) * d + i] = value;
     }
   }
   MergeClusters(&clusters, mi, config);

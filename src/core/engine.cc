@@ -189,6 +189,13 @@ Status ValidateEngineConfig(const EngineConfig& config) {
   require(config.tokenizer_feature_buckets >= 1 &&
               config.tokenizer_max_length >= 1,
           "tokenizer_feature_buckets and tokenizer_max_length must be >= 1");
+  require(config.clustering.mi_bins == FeatureSpace::kMiBins,
+          "clustering.mi_bins must be " +
+              std::to_string(FeatureSpace::kMiBins) +
+              " (the engine clusters on the feature space's cached " +
+              std::to_string(FeatureSpace::kMiBins) +
+              "-bin statistics), got " +
+              std::to_string(config.clustering.mi_bins));
   at_least("num_threads", config.num_threads, 0,
            " (0 = all hardware threads)");
   at_least("prefix_cache_kb", config.prefix_cache_kb, 0,
@@ -415,8 +422,12 @@ StepLocals SelectAction(RunContext& ctx, EngineState& s, int episode,
   {
     obs::TraceSpan phase("engine/select_action",
                          &s.result.times.optimization_ns);
-    std::vector<std::vector<int>> clusters =
-        ClusterFeatures(space, config.clustering);
+    // Sub-spans of select_action: traced only, no PhaseTimes bucket.
+    auto cluster = [&] {
+      obs::TraceSpan span("engine/cluster");
+      return ClusterFeatures(space, config.clustering);
+    };
+    std::vector<std::vector<int>> clusters = cluster();
     std::vector<double> overall = FeatureSetState(space);
     t.state = overall;
 
@@ -440,13 +451,15 @@ StepLocals SelectAction(RunContext& ctx, EngineState& s, int episode,
       tail_cluster = clusters[t.tail_action];
     }
 
-    added = space.ApplyOperation(op, head_cluster, tail_cluster, &s.rng);
+    {
+      obs::TraceSpan span("engine/apply_operation");
+      added = space.ApplyOperation(op, head_cluster, tail_cluster, &s.rng);
+    }
     t.next_state = FeatureSetState(space);
     // Candidates at the next state — only the Q-learning variants need
     // them for bootstrap targets; skip the extra clustering otherwise.
     if (config.framework != RlFramework::kActorCritic) {
-      std::vector<std::vector<int>> next_clusters =
-          ClusterFeatures(space, config.clustering);
+      std::vector<std::vector<int>> next_clusters = cluster();
       t.next_head_inputs = ClusterInputs(space, next_clusters, {},
                                          t.next_state,
                                          CascadePolicy::HeadInputDim());

@@ -9,14 +9,24 @@
 namespace fastft {
 
 std::vector<int> QuantileBin(const std::vector<double>& values, int bins) {
-  FASTFT_CHECK_GE(bins, 2);
-  const size_t n = values.size();
-  std::vector<int> out(n, 0);
-  if (n == 0) return out;
-  std::vector<size_t> order(n);
+  return QuantileBin(values, AscendingOrder(values), bins);
+}
+
+std::vector<size_t> AscendingOrder(const std::vector<double>& values) {
+  std::vector<size_t> order(values.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return values[a] < values[b]; });
+  return order;
+}
+
+std::vector<int> QuantileBin(const std::vector<double>& values,
+                             const std::vector<size_t>& order, int bins) {
+  FASTFT_CHECK_GE(bins, 2);
+  FASTFT_CHECK_EQ(order.size(), values.size());
+  const size_t n = values.size();
+  std::vector<int> out(n, 0);
+  if (n == 0) return out;
   // Equal-frequency bins; identical values always share a bin. A bin closes
   // as soon as it has reached its quota *and* the value changes — this keeps
   // low-cardinality columns (e.g. binary features) multi-binned instead of
@@ -35,36 +45,59 @@ std::vector<int> QuantileBin(const std::vector<double>& values, int bins) {
   return out;
 }
 
+std::vector<int> BinCounts(const std::vector<int>& binned) {
+  // Bin ids are small non-negative integers (quantile bins or class labels),
+  // so dense counting beats associative containers.
+  int max_bin = 0;
+  for (int v : binned) {
+    FASTFT_CHECK_GE(v, 0);
+    max_bin = std::max(max_bin, v);
+  }
+  std::vector<int> counts(static_cast<size_t>(max_bin) + 1, 0);
+  for (int v : binned) ++counts[v];
+  return counts;
+}
+
 double DiscreteMutualInformation(const std::vector<int>& a,
                                  const std::vector<int>& b) {
   FASTFT_CHECK_EQ(a.size(), b.size());
-  const double n = static_cast<double>(a.size());
   if (a.empty()) return 0.0;
-  // Flat histograms: bin ids are small non-negative integers (quantile bins
-  // or class labels), so dense counting beats associative containers in this
-  // clustering hot path.
-  int max_a = 0, max_b = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    FASTFT_CHECK_GE(a[i], 0);
-    FASTFT_CHECK_GE(b[i], 0);
-    max_a = std::max(max_a, a[i]);
-    max_b = std::max(max_b, b[i]);
+  return CountedMutualInformation(a, BinCounts(a), b, BinCounts(b));
+}
+
+double CountedMutualInformation(const std::vector<int>& a,
+                                const std::vector<int>& count_a,
+                                const std::vector<int>& b,
+                                const std::vector<int>& count_b) {
+  FASTFT_CHECK_EQ(a.size(), b.size());
+  if (a.empty()) return 0.0;
+  const double n = static_cast<double>(a.size());
+  const int ka = static_cast<int>(count_a.size());
+  const int kb = static_cast<int>(count_b.size());
+  const size_t cells = static_cast<size_t>(ka) * static_cast<size_t>(kb);
+  int stack_joint[kMaxStackBins * kMaxStackBins];
+  std::vector<int> heap_joint;
+  int* joint = stack_joint;
+  if (ka > kMaxStackBins || kb > kMaxStackBins) {
+    heap_joint.resize(cells);
+    joint = heap_joint.data();
   }
-  const int ka = max_a + 1, kb = max_b + 1;
-  std::vector<double> pa(ka, 0.0), pb(kb, 0.0);
-  std::vector<double> joint(static_cast<size_t>(ka) * kb, 0.0);
+  std::fill(joint, joint + cells, 0);
   for (size_t i = 0; i < a.size(); ++i) {
-    pa[a[i]] += 1.0;
-    pb[b[i]] += 1.0;
-    joint[static_cast<size_t>(a[i]) * kb + b[i]] += 1.0;
+    ++joint[static_cast<size_t>(a[i]) * kb + b[i]];
   }
+  // Integer counts convert to the doubles that summing 1.0 per entry gives,
+  // so the terms, their order and the zero skips fix every bit of the sum.
   double mi = 0.0;
   for (int x = 0; x < ka; ++x) {
-    if (pa[x] == 0.0) continue;
+    if (count_a[x] == 0) continue;
+    const double px = static_cast<double>(count_a[x]);
     for (int y = 0; y < kb; ++y) {
-      double pxy = joint[static_cast<size_t>(x) * kb + y];
+      const double pxy =
+          static_cast<double>(joint[static_cast<size_t>(x) * kb + y]);
       if (pxy == 0.0) continue;
-      mi += (pxy / n) * std::log(pxy * n / (pa[x] * pb[y]));
+      const double py = static_cast<double>(count_b[y]);
+      mi += (pxy / n) * std::log(pxy * n / (px * py));
     }
   }
   return std::max(0.0, mi);
@@ -75,17 +108,20 @@ double EstimateMI(const std::vector<double>& a, const std::vector<double>& b,
   return DiscreteMutualInformation(QuantileBin(a, bins), QuantileBin(b, bins));
 }
 
+std::vector<int> LabelCodes(const std::vector<double>& labels, TaskType task,
+                            int bins) {
+  if (task == TaskType::kRegression) return QuantileBin(labels, bins);
+  std::vector<int> codes;
+  codes.reserve(labels.size());
+  for (double y : labels) codes.push_back(static_cast<int>(y));
+  return codes;
+}
+
 double EstimateMIWithLabel(const std::vector<double>& column,
                            const std::vector<double>& labels, TaskType task,
                            int bins) {
-  std::vector<int> binned_labels;
-  if (task == TaskType::kRegression) {
-    binned_labels = QuantileBin(labels, bins);
-  } else {
-    binned_labels.reserve(labels.size());
-    for (double y : labels) binned_labels.push_back(static_cast<int>(y));
-  }
-  return DiscreteMutualInformation(QuantileBin(column, bins), binned_labels);
+  return DiscreteMutualInformation(QuantileBin(column, bins),
+                                   LabelCodes(labels, task, bins));
 }
 
 std::vector<double> FeatureRelevance(const DataFrame& frame,

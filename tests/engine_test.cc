@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/fs.h"
@@ -160,6 +161,69 @@ TEST(EngineTest, PhaseTimesAreSpanSums) {
   EXPECT_NE(
       RunReportJson(dataset, r).find("\n  \"runtime\": {\"times\": {}},\n"),
       std::string::npos);
+}
+
+TEST(EngineTest, SelectActionSpansNestClusteringAndCrossing) {
+  // engine/cluster and engine/apply_operation split the select phase in the
+  // trace without a PhaseTimes bucket: one crossing per step, one
+  // clustering per step (two for the Q-learning frameworks, which also
+  // cluster the next state), each inside that step's engine/select_action.
+  const std::string trace =
+      ::testing::TempDir() + "/fastft_select_spans_trace.json";
+  for (RlFramework framework : {RlFramework::kActorCritic, RlFramework::kDqn}) {
+    SCOPED_TRACE(RlFrameworkName(framework));
+    EngineConfig cfg = FastConfig();
+    cfg.framework = framework;
+    cfg.trace_path = trace;
+    const EngineResult r = FastFtEngine(cfg).Run(SmallDataset()).ValueOrDie();
+    const obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+    std::remove(trace.c_str());
+    ASSERT_EQ(snapshot.TotalDropped(), 0);
+    std::vector<obs::SpanEvent> selects;
+    std::map<std::string, std::vector<obs::SpanEvent>> inner;
+    for (const obs::ThreadTrace& thread : snapshot.threads) {
+      for (const obs::SpanEvent& event : thread.events) {
+        const std::string name = event.name;
+        if (name == "engine/select_action") selects.push_back(event);
+        if (name == "engine/cluster" || name == "engine/apply_operation") {
+          inner[name].push_back(event);
+        }
+      }
+    }
+    const size_t steps = static_cast<size_t>(r.total_steps);
+    const size_t clusterings =
+        framework == RlFramework::kActorCritic ? steps : 2 * steps;
+    EXPECT_EQ(selects.size(), steps);
+    EXPECT_EQ(inner["engine/apply_operation"].size(), steps);
+    EXPECT_EQ(inner["engine/cluster"].size(), clusterings);
+    for (const auto& [name, events] : inner) {
+      for (const obs::SpanEvent& event : events) {
+        bool nested = false;
+        for (const obs::SpanEvent& select : selects) {
+          nested |= event.start_ns >= select.start_ns &&
+                    event.start_ns + event.duration_ns <=
+                        select.start_ns + select.duration_ns;
+        }
+        EXPECT_TRUE(nested) << name << " outside engine/select_action";
+      }
+    }
+  }
+}
+
+TEST(EngineTest, MiBinsMustMatchTheFeatureSpaceBins) {
+  // The engine clusters on the feature space's cached 8-bin statistics, so
+  // any other clustering.mi_bins is rejected instead of silently ignored.
+  EngineConfig cfg = FastConfig();
+  cfg.episodes = 2;
+  cfg.clustering.mi_bins = 16;
+  Result<EngineResult> rejected = FastFtEngine(cfg).Run(SmallDataset());
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("clustering.mi_bins must be 8"),
+            std::string::npos)
+      << rejected.status().ToString();
+  cfg.clustering.mi_bins = FeatureSpace::kMiBins;
+  EXPECT_TRUE(FastFtEngine(cfg).Run(SmallDataset()).ok());
 }
 
 TEST(EngineTest, NoveltyMetricsCollectedOnDemand) {

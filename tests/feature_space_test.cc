@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/feature_space.h"
@@ -163,6 +165,54 @@ TEST(FeatureSpaceTest, GeneratedExpressionsInOrder) {
   ASSERT_EQ(exprs.size(), 2u);
   EXPECT_EQ(ExprToString(exprs[0]), "square(f0)");
   EXPECT_EQ(ExprToString(exprs[1]), "sqrt(f1)");
+}
+
+TEST(FeatureSpaceTest, DedupForgetsEvictedColumnsAndOnlyThem) {
+  // Six generated sums compete for three budget slots. After eviction the
+  // space must accept an evicted column again, by its own expression and by
+  // its values under a new expression, and still reject every survivor.
+  FeatureSpaceConfig cfg;
+  cfg.max_features = 9;
+  FeatureSpace space(SmallDataset(), cfg);
+  Rng rng(13);
+  struct Sum {
+    int head, tail;
+    std::string name;
+  };
+  std::vector<Sum> sums;
+  for (int h : {0, 1, 2}) {
+    for (int t : {3, 4}) {
+      std::string name = "(f";
+      name += std::to_string(h);
+      name += "+f";
+      name += std::to_string(t);
+      name += ")";
+      sums.push_back({h, t, name});
+    }
+  }
+  EXPECT_EQ(space.ApplyOperation(OpType::kAdd, {0, 1, 2}, {3, 4}, &rng), 6);
+  ASSERT_EQ(space.NumColumns(), 9);
+  int evicted = 0;
+  for (const Sum& sum : sums) {
+    bool survived = false;
+    for (int c = space.NumOriginals(); c < space.NumColumns(); ++c) {
+      survived |= space.ColumnName(c) == sum.name;
+    }
+    evicted += !survived;
+    const int expected = survived ? 0 : 1;
+    FeatureSpace same_expr(space);
+    EXPECT_EQ(same_expr.ApplyOperation(OpType::kAdd, {sum.head}, {sum.tail},
+                                       &rng),
+              expected)
+        << sum.name;
+    // tail + head has the same values but a new expression.
+    FeatureSpace same_values(space);
+    EXPECT_EQ(same_values.ApplyOperation(OpType::kAdd, {sum.tail},
+                                         {sum.head}, &rng),
+              expected)
+        << sum.name;
+  }
+  EXPECT_EQ(evicted, 3);
 }
 
 TEST(FeatureSpaceTest, BudgetBelowOriginalsChecks) {
