@@ -36,7 +36,6 @@ EngineConfig OverheadConfig(uint64_t seed) {
   cfg.evaluator.folds = 3;
   cfg.evaluator.forest_trees = 10;
   cfg.num_threads = bench::BenchThreads();
-  cfg.metrics = false;  // isolate event-recording cost
   cfg.seed = seed;
   return cfg;
 }

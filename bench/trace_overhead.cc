@@ -31,7 +31,6 @@ EngineConfig OverheadConfig(uint64_t seed) {
   cfg.evaluator.folds = 2;
   cfg.evaluator.forest_trees = 6;
   cfg.num_threads = bench::BenchThreads();
-  cfg.metrics = false;  // isolate span-recording cost from snapshotting
   cfg.seed = seed;
   return cfg;
 }

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 
@@ -107,12 +106,7 @@ bool FaultInjector::ShouldFail(const char* site) {
   uint64_t draw = SplitMix64(stream);
   double u = static_cast<double>(draw >> 11) * 0x1.0p-53;
   bool fire = u < s.probability;
-  if (fire) {
-    ++s.stats.fires;
-    static obs::Counter* trips =
-        obs::MetricsRegistry::Global().GetCounter("fault.trips");
-    trips->Increment();
-  }
+  if (fire) ++s.stats.fires;
   return fire;
 }
 

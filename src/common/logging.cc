@@ -45,10 +45,6 @@ void SetLogLevel(LogLevel level) {
   g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 void SetLogSinkForTest(std::vector<std::string>* sink) {

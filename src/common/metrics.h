@@ -1,21 +1,21 @@
-// Unified metrics registry — the fastft::obs counting layer.
+// Metrics registry — the fastft::obs counting layer for process-wide state.
 //
-// Replaces the one-off stat plumbing that accumulated in EngineResult
-// (estimation-cache counters, evaluation counts, ...) with a process-wide
-// registry of named counters and fixed-bucket histograms. The engine
-// snapshots the registry at the start and end of a run and reports the
-// delta, so concurrent instrumented subsystems (thread pool, evaluator,
-// forests, replay) all feed one snapshot; the run report renders its counted
-// work as "metrics" and its pool counters and histograms under "runtime".
+// A registry of named counters and fixed-bucket histograms for what the
+// whole process shares: today the shared thread pool (pool.tasks,
+// pool.queue_wait_us, pool.task_run_us). Work that belongs to one engine
+// run is counted by the run itself (its Evaluator), never here, so
+// overlapping runs cannot count each other's work. MetricsSnapshot is also
+// the shape of EngineResult::metrics: the run's own counts followed by the
+// registry's delta over the run, which the run report renders under
+// "runtime".
 //
 // All mutation paths are lock-free atomics, safe to call from pool workers;
 // registration (name -> metric lookup) takes a mutex, so call sites cache
 // the returned pointer (metrics live for the process lifetime — pointers
-// never dangle). Counting never changes any computation: engine outputs are
-// bit-identical whether a run snapshots metrics or not.
+// never dangle). Counting never changes any computation.
 //
 // Metric naming scheme: "<subsystem>.<metric>[_<unit>]", e.g.
-// "engine.steps", "pool.queue_wait_us", "evaluator.folds".
+// "pool.tasks", "pool.queue_wait_us", "evaluator.folds".
 
 #pragma once
 

@@ -63,21 +63,6 @@ Summary Summarize(const std::vector<double>& values) {
   return s;
 }
 
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  FASTFT_CHECK_EQ(a.size(), b.size());
-  if (a.size() < 2) return 0.0;
-  double ma = Mean(a), mb = Mean(b);
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    num += (a[i] - ma) * (b[i] - mb);
-    da += (a[i] - ma) * (a[i] - ma);
-    db += (b[i] - mb) * (b[i] - mb);
-  }
-  if (da <= 1e-300 || db <= 1e-300) return 0.0;
-  return num / std::sqrt(da * db);
-}
-
 double CosineSimilarity(const std::vector<double>& a,
                         const std::vector<double>& b) {
   FASTFT_CHECK_EQ(a.size(), b.size());

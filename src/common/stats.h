@@ -37,10 +37,6 @@ double StdDev(const std::vector<double>& values);
 /// Interpolated quantile, q in [0,1]. Sorts a copy of `values`.
 double Quantile(std::vector<double> values, double q);
 
-/// Pearson correlation; returns 0 for degenerate (constant) input.
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b);
-
 /// Cosine similarity of two equal-length vectors; 0 for zero vectors.
 double CosineSimilarity(const std::vector<double>& a,
                         const std::vector<double>& b);

@@ -24,26 +24,6 @@
 namespace fastft {
 namespace {
 
-struct EngineMetrics {
-  obs::Counter* steps;
-  obs::Counter* episodes;
-  obs::Counter* downstream_evaluations;
-  obs::Counter* predictor_estimations;
-};
-
-const EngineMetrics& Metrics() {
-  static const EngineMetrics metrics = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    return EngineMetrics{
-        registry.GetCounter("engine.steps"),
-        registry.GetCounter("engine.episodes"),
-        registry.GetCounter("engine.downstream_evaluations"),
-        registry.GetCounter("engine.predictor_estimations"),
-    };
-  }();
-  return metrics;
-}
-
 // Arms tracing for the duration of one Run(), and writes the Chrome-trace
 // export on every exit path (early Status returns included). Declared before
 // the "engine/run" span so the span closes — and lands in a ring — before
@@ -375,7 +355,6 @@ Status Baseline(RunContext& ctx, EngineState& s, bool* interrupted) {
   obs::TraceSpan phase("engine/evaluate", &result.times.evaluation_ns);
   double base = ctx.evaluator.Evaluate(ctx.dataset);
   ++result.downstream_evaluations;
-  Metrics().downstream_evaluations->Increment();
   if (FASTFT_FAULT_POINT("evaluator/base")) base = kNaN;
   if (std::isfinite(base)) {
     result.base_score = base;
@@ -404,7 +383,6 @@ StepLocals SelectAction(RunContext& ctx, EngineState& s, int episode,
                         int step) {
   const EngineConfig& config = ctx.config;
   FeatureSpace& space = ctx.space;
-  Metrics().steps->Increment();
   StepLocals st;
   st.episode = episode;
   st.step = step;
@@ -511,7 +489,6 @@ void Estimate(RunContext& ctx, EngineState& s, StepLocals& st) {
       !health.predictor.quarantined()) {
     st.predicted = s.predictor->Predict(st.t.tokens);
     ++s.result.predictor_estimations;
-    Metrics().predictor_estimations->Increment();
     if (FASTFT_FAULT_POINT("predictor/predict")) st.predicted = kNaN;
     st.have_prediction =
         GuardEstimate(ctx, s, st, &health.predictor, "predictor/predict",
@@ -589,7 +566,6 @@ bool Evaluate(RunContext& ctx, EngineState& s, StepLocals& st,
   Dataset candidate = ctx.space.ToDataset();
   double measured = ctx.evaluator.Evaluate(candidate);
   ++s.result.downstream_evaluations;
-  Metrics().downstream_evaluations->Increment();
   if (FASTFT_FAULT_POINT("evaluator/evaluate")) measured = kNaN;
   // The deadline fired inside the evaluation: `measured` may cover only some
   // folds (or none), which is NOT deterministic across thread counts.
@@ -735,8 +711,11 @@ void ColdStartTrain(RunContext& ctx, EngineState& s, int episode) {
                        &s.result.times.optimization_ns);
   Rng train_rng(DeriveSeed(config.seed, 31));
   if (config.use_performance_predictor) {
-    double mse =
-        s.predictor->Fit(records, config.cold_start_train_epochs, &train_rng);
+    double mse = [&] {
+      obs::TraceSpan span("engine/train_predictor");
+      return s.predictor->Fit(records, config.cold_start_train_epochs,
+                              &train_rng);
+    }();
     if (FASTFT_FAULT_POINT("predictor/coldstart")) mse = kNaN;
     if (!std::isfinite(mse)) {
       health.RecordComponentFault(&health.predictor);
@@ -749,8 +728,11 @@ void ColdStartTrain(RunContext& ctx, EngineState& s, int episode) {
     std::vector<std::vector<int>> sequences;
     sequences.reserve(records.size());
     for (const SequenceRecord& r : records) sequences.push_back(r.tokens);
-    double loss =
-        s.novelty->Fit(sequences, config.cold_start_train_epochs, &train_rng);
+    double loss = [&] {
+      obs::TraceSpan span("engine/train_novelty");
+      return s.novelty->Fit(sequences, config.cold_start_train_epochs,
+                            &train_rng);
+    }();
     if (FASTFT_FAULT_POINT("novelty/coldstart")) loss = kNaN;
     if (!std::isfinite(loss)) {
       health.RecordComponentFault(&health.novelty);
@@ -822,11 +804,17 @@ void Finetune(RunContext& ctx, EngineState& s, int episode) {
   HealthReport& health = s.result.health;
   if (ctx.config.use_performance_predictor) {
     FinetuneComponent(ctx, s, episode, &health.predictor, "predictor/finetune",
-                      [&] { return s.predictor->Finetune(batch); });
+                      [&] {
+                        obs::TraceSpan span("engine/train_predictor");
+                        return s.predictor->Finetune(batch);
+                      });
   }
   if (ctx.config.use_novelty) {
     FinetuneComponent(ctx, s, episode, &health.novelty, "novelty/finetune",
-                      [&] { return s.novelty->Finetune(sequences); });
+                      [&] {
+                        obs::TraceSpan span("engine/train_novelty");
+                        return s.novelty->Finetune(sequences);
+                      });
   }
 }
 
@@ -898,9 +886,10 @@ void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
 // End of run: put the newest boundary state on disk — whether the run
 // completed (so it can be resumed with a longer horizon) or was interrupted
 // mid-episode (so resume replays from the last boundary) — and close the
-// result with the run's metrics delta.
+// result with the run's counted work: its evaluator's counts, then the
+// process-wide registry's delta over the run (pool counters, histograms).
 void Finish(RunContext& ctx, EngineState& s, bool interrupted,
-            const obs::MetricsSnapshot& metrics_start) {
+            const obs::MetricsSnapshot& registry_start) {
   if (ctx.snapshot_dirty) WriteSnapshot(ctx, s);
   EngineResult& result = s.result;
   result.total_steps = s.run.global_step;
@@ -908,9 +897,21 @@ void Finish(RunContext& ctx, EngineState& s, bool interrupted,
   result.completed_episodes = s.run.next_episode;
   result.estimation_cache = s.predictor->cache_stats();
   result.estimation_cache.Merge(s.novelty->cache_stats());
-  if (ctx.config.metrics) {
-    result.metrics = obs::DeltaSnapshot(
-        metrics_start, obs::MetricsRegistry::Global().Snapshot());
+  const Evaluator& evaluator = ctx.evaluator;
+  const std::pair<const char*, int64_t> counted[] = {
+      {"evaluator.evaluations", evaluator.evaluation_count()},
+      {"evaluator.folds", evaluator.fold_count()},
+      {"evaluator.folds_skipped", evaluator.skipped_fold_count()},
+      {"forest.trees_fit", evaluator.trees_fit()}};
+  for (const auto& [name, count] : counted) {
+    if (count == 0) continue;
+    result.metrics.values.push_back(
+        {name, obs::MetricKind::kCounter, count, {}});
+  }
+  obs::MetricsSnapshot registry = obs::DeltaSnapshot(
+      registry_start, obs::MetricsRegistry::Global().Snapshot());
+  for (obs::MetricValue& value : registry.values) {
+    result.metrics.values.push_back(std::move(value));
   }
 }
 
@@ -933,12 +934,10 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
   FASTFT_RETURN_NOT_OK(ValidateEngineConfig(config_));
   TraceSession trace_session(config_);
   FASTFT_TRACE_SPAN("engine/run");
-  // Metrics delta: counting is always on; the snapshot pair brackets this
-  // run so EngineResult::metrics reports only what the run itself did.
-  obs::MetricsSnapshot metrics_start;
-  if (config_.metrics) {
-    metrics_start = obs::MetricsRegistry::Global().Snapshot();
-  }
+  // The process-wide registry (pool counters and histograms) is reported as
+  // its delta over this run; Finish() adds the run's own counts.
+  const obs::MetricsSnapshot registry_start =
+      obs::MetricsRegistry::Global().Snapshot();
 
   RunContext ctx(config_, dataset);
   std::unique_ptr<EngineState> state = SetupOrResume(ctx);
@@ -952,7 +951,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
     interrupted = ctx.deadline.Expired();
     if (interrupted) break;
     FASTFT_TRACE_SPAN("engine/episode");
-    Metrics().episodes->Increment();
     ctx.space.Reset();
     double prev_perf = s.result.base_score;
     for (int step = 0; step < config_.steps_per_episode; ++step) {
@@ -978,7 +976,7 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
     }
     EndEpisode(ctx, s, episode);
   }
-  Finish(ctx, s, interrupted, metrics_start);
+  Finish(ctx, s, interrupted, registry_start);
   return std::move(s.result);
 }
 

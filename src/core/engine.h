@@ -128,10 +128,6 @@ struct EngineConfig {
   /// Per-thread span ring capacity while tracing (drop-oldest beyond this;
   /// the export reports how many were dropped).
   int trace_ring_capacity = 65536;
-  /// Capture a per-run metrics snapshot (counters/histograms delta over the
-  /// run) into EngineResult::metrics. Counting is always on
-  /// process-wide; this only gates the snapshot.
-  bool metrics = true;
 
   /// When non-empty, Run() records per-step decision provenance — candidate
   /// sets, chosen/runner-up scores, the Eq. 6 reward decomposition, replay
@@ -214,8 +210,11 @@ struct EngineResult {
   /// Faults observed, updates skipped, quarantines, and recoveries during
   /// the run (all zero on a healthy run).
   HealthReport health;
-  /// Delta of the process-wide metrics registry over this run (counters,
-  /// histograms) when EngineConfig::metrics is set; empty otherwise.
+  /// Counted work of this run, from its own Evaluator: evaluator.evaluations,
+  /// evaluator.folds, evaluator.folds_skipped and forest.trees_fit (zero
+  /// counts left out). Then the delta of the process-wide registry over the
+  /// run: pool.tasks and the pool histograms, which overlapping runs share.
+  /// Not checkpointed: a resumed run counts only its own work.
   obs::MetricsSnapshot metrics;
   /// True when the run stopped early on the wall-clock budget or the
   /// cancel flag; the result is then a valid partial report covering

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
 
@@ -20,30 +19,10 @@ double ClampPriority(double priority) {
   if (!std::isfinite(priority)) return kMinPriority;
   return std::max(std::abs(priority), kMinPriority);
 }
-
-struct ReplayMetrics {
-  obs::Counter* adds;
-  obs::Counter* samples;
-  obs::Counter* priority_updates;
-};
-
-const ReplayMetrics& Metrics() {
-  static const ReplayMetrics metrics = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    return ReplayMetrics{
-        registry.GetCounter("replay.adds"),
-        registry.GetCounter("replay.samples"),
-        registry.GetCounter("replay.priority_updates"),
-    };
-  }();
-  return metrics;
-}
-
 }  // namespace
 
 void PrioritizedReplayBuffer::Add(Transition transition, double priority) {
   FASTFT_TRACE_SPAN("replay/add");
-  Metrics().adds->Increment();
   double p = ClampPriority(priority);
   if (!Full()) {
     items_.push_back(std::move(transition));
@@ -69,7 +48,6 @@ Transition& PrioritizedReplayBuffer::GetMutable(int index) {
 
 int PrioritizedReplayBuffer::SampleIndex(Rng* rng, bool prioritized) const {
   FASTFT_TRACE_SPAN("replay/sample");
-  Metrics().samples->Increment();
   FASTFT_CHECK_GT(size(), 0);
   if (!prioritized) return rng->UniformInt(size());
   return rng->SampleDiscrete(priorities_);
@@ -77,7 +55,6 @@ int PrioritizedReplayBuffer::SampleIndex(Rng* rng, bool prioritized) const {
 
 void PrioritizedReplayBuffer::UpdatePriority(int index, double priority) {
   FASTFT_TRACE_SPAN("replay/update");
-  Metrics().priority_updates->Increment();
   FASTFT_CHECK_GE(index, 0);
   FASTFT_CHECK_LT(index, size());
   priorities_[index] = ClampPriority(priority);
@@ -92,7 +69,6 @@ double PrioritizedReplayBuffer::Priority(int index) const {
 std::vector<int> PrioritizedReplayBuffer::UniformSampleIndices(
     int count, Rng* rng) const {
   FASTFT_TRACE_SPAN("replay/sample");
-  Metrics().samples->Increment();
   count = std::min(count, size());
   return rng->SampleWithoutReplacement(size(), count);
 }

@@ -102,7 +102,7 @@ std::string RunReportJson(const Dataset& original,
   for (const obs::MetricValue& value : result.metrics.values) {
     (IsRuntimeMetric(value) ? runtime : counted).values.push_back(value);
   }
-  // Additive: runs with EngineConfig::metrics off keep the legacy shape.
+  // The run's own counted work; a run that evaluated nothing has none.
   if (!counted.empty()) {
     out << "  \"metrics\": " << counted.ToJson() << ",\n";
   }

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/stats.h"
-
 namespace fastft {
 
 const char* TaskTypeCode(TaskType task) {
@@ -75,16 +73,6 @@ Status Dataset::Validate() const {
     }
   }
   return Status::OK();
-}
-
-void StandardizeInPlace(DataFrame* frame) {
-  for (int c = 0; c < frame->NumCols(); ++c) {
-    std::vector<double>& col = frame->MutableCol(c);
-    double m = Mean(col);
-    double s = StdDev(col);
-    if (s < 1e-12) continue;
-    for (double& v : col) v = (v - m) / s;
-  }
 }
 
 }  // namespace fastft

@@ -38,8 +38,5 @@ struct Dataset {
   Status Validate() const;
 };
 
-/// Z-score standardizes every column in place (constant columns untouched).
-void StandardizeInPlace(DataFrame* frame);
-
 }  // namespace fastft
 

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "common/trace.h"
@@ -16,27 +15,6 @@
 #include "ml/random_forest.h"
 
 namespace fastft {
-namespace {
-
-struct EvalMetrics {
-  obs::Counter* evaluations;
-  obs::Counter* folds;
-  obs::Counter* folds_skipped;
-};
-
-const EvalMetrics& Metrics() {
-  static const EvalMetrics metrics = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    return EvalMetrics{
-        registry.GetCounter("evaluator.evaluations"),
-        registry.GetCounter("evaluator.folds"),
-        registry.GetCounter("evaluator.folds_skipped"),
-    };
-  }();
-  return metrics;
-}
-
-}  // namespace
 
 const char* ModelKindName(ModelKind kind) {
   switch (kind) {
@@ -126,7 +104,6 @@ double Evaluator::Evaluate(const Dataset& dataset, Metric metric) const {
   FASTFT_TRACE_SPAN("evaluator/evaluate");
   FASTFT_CHECK(dataset.Validate().ok()) << dataset.Validate().ToString();
   evaluation_count_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().evaluations->Increment();
   std::vector<TrainTestIndices> folds =
       KFoldSplit(dataset, config_.folds, config_.seed);
   // Folds are independent: each derives its own model seed from (seed, k),
@@ -142,10 +119,14 @@ double Evaluator::Evaluate(const Dataset& dataset, Metric metric) const {
     if (config_.deadline != nullptr && config_.deadline->Expired()) return;
     TrainTestData data = MaterializeSplit(dataset, folds[k]);
     if (data.train.NumRows() < 2 || data.test.NumRows() < 1) {
-      Metrics().folds_skipped->Increment();
+      skipped_fold_count_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    Metrics().folds->Increment();
+    fold_count_.fetch_add(1, std::memory_order_relaxed);
+    // RandomForest::Fit fits exactly num_trees trees.
+    if (config_.model == ModelKind::kRandomForest) {
+      trees_fit_.fetch_add(config_.forest_trees, std::memory_order_relaxed);
+    }
     std::unique_ptr<Model> model =
         MakeModel(config_.model, dataset.task,
                   DeriveSeed(config_.seed, static_cast<uint64_t>(k) + 1),

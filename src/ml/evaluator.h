@@ -2,8 +2,9 @@
 //
 // This is the expensive feedback signal the paper calls A(T(F), y) — the
 // runtime bottleneck FastFT's Performance Predictor replaces. The evaluator
-// also exposes a feature-importance fit (Table IV) and a call counter used
-// by the runtime experiments.
+// also exposes a feature-importance fit (Table IV) and counts the work it
+// did (calls, folds, trees): one engine run owns one Evaluator, so these are
+// that run's counts, whatever else runs in the process.
 
 #pragma once
 
@@ -87,10 +88,25 @@ class Evaluator {
   /// Impurity feature importances from a random forest fit on all rows.
   std::vector<double> FeatureImportance(const Dataset& dataset) const;
 
-  /// Number of Evaluate calls since construction (each is a full k-fold
-  /// fit). Atomic: Evaluate may run concurrently from EvaluateBatch workers.
+  /// Work done by Evaluate since construction. Each count is a relaxed
+  /// atomic: Evaluate may run concurrently from EvaluateBatch workers, and
+  /// its folds from pool workers. FeatureImportance counts nothing.
+  ///
+  /// Evaluate calls (each a full k-fold fit).
   int64_t evaluation_count() const {
     return evaluation_count_.load(std::memory_order_relaxed);
+  }
+  /// Folds fitted and scored.
+  int64_t fold_count() const {
+    return fold_count_.load(std::memory_order_relaxed);
+  }
+  /// Folds skipped as too small (train < 2 or test < 1 rows).
+  int64_t skipped_fold_count() const {
+    return skipped_fold_count_.load(std::memory_order_relaxed);
+  }
+  /// Forest trees fitted: forest_trees per fitted fold of a random forest.
+  int64_t trees_fit() const {
+    return trees_fit_.load(std::memory_order_relaxed);
   }
 
   const EvaluatorConfig& config() const { return config_; }
@@ -98,6 +114,9 @@ class Evaluator {
  private:
   EvaluatorConfig config_;
   mutable std::atomic<int64_t> evaluation_count_{0};
+  mutable std::atomic<int64_t> fold_count_{0};
+  mutable std::atomic<int64_t> skipped_fold_count_{0};
+  mutable std::atomic<int64_t> trees_fit_{0};
 };
 
 }  // namespace fastft

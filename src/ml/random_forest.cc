@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "common/trace.h"
@@ -61,11 +60,8 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
   }
 
   trees_.assign(config_.num_trees, DecisionTree());
-  static obs::Counter* trees_fit =
-      obs::MetricsRegistry::Global().GetCounter("forest.trees_fit");
   auto fit_tree = [&](int64_t t) {
     FASTFT_TRACE_SPAN("forest/fit_tree");
-    trees_fit->Increment();
     TreeConfig tc;
     tc.regression = config_.regression;
     tc.max_depth = config_.max_depth;

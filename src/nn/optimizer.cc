@@ -17,10 +17,6 @@ void ClipGradNorm(const std::vector<Parameter*>& params, double max_norm) {
   for (Parameter* p : params) p->grad.ScaleInPlace(factor);
 }
 
-void ZeroGrads(const std::vector<Parameter*>& params) {
-  for (Parameter* p : params) p->ZeroGrad();
-}
-
 AdamOptimizer::AdamOptimizer(std::vector<Parameter*> params, double lr,
                              double beta1, double beta2, double eps)
     : params_(std::move(params)),

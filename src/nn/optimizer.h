@@ -15,9 +15,6 @@ namespace nn {
 /// Scales all gradients so their global L2 norm is at most `max_norm`.
 void ClipGradNorm(const std::vector<Parameter*>& params, double max_norm);
 
-/// Zeroes the gradients of all parameters.
-void ZeroGrads(const std::vector<Parameter*>& params);
-
 class AdamOptimizer {
  public:
   explicit AdamOptimizer(std::vector<Parameter*> params, double lr = 1e-3,

@@ -249,20 +249,6 @@ TEST(StatsTest, SummaryOrderedFields) {
   EXPECT_EQ(s.ToVector().size(), static_cast<size_t>(Summary::kNumFields));
 }
 
-TEST(StatsTest, PearsonPerfectCorrelation) {
-  std::vector<double> a = {1, 2, 3, 4};
-  std::vector<double> b = {2, 4, 6, 8};
-  EXPECT_NEAR(PearsonCorrelation(a, b), 1.0, 1e-12);
-  std::vector<double> c = {8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(a, c), -1.0, 1e-12);
-}
-
-TEST(StatsTest, PearsonConstantInputIsZero) {
-  std::vector<double> a = {1, 1, 1};
-  std::vector<double> b = {1, 2, 3};
-  EXPECT_DOUBLE_EQ(PearsonCorrelation(a, b), 0.0);
-}
-
 TEST(StatsTest, CosineSimilarity) {
   std::vector<double> a = {1, 0};
   std::vector<double> b = {0, 1};

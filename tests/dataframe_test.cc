@@ -159,17 +159,5 @@ TEST(DatasetTest, ValidateRejectsNonFiniteLabel) {
   EXPECT_FALSE(ds.Validate().ok());
 }
 
-TEST(StandardizeTest, ZeroMeanUnitVariance) {
-  DataFrame f;
-  ASSERT_TRUE(f.AddColumn("x", {1, 2, 3, 4, 5}).ok());
-  ASSERT_TRUE(f.AddColumn("const", {7, 7, 7, 7, 7}).ok());
-  StandardizeInPlace(&f);
-  double mean = 0;
-  for (double v : f.Col(0)) mean += v;
-  EXPECT_NEAR(mean, 0.0, 1e-12);
-  // Constant column untouched.
-  EXPECT_DOUBLE_EQ(f.At(0, 1), 7.0);
-}
-
 }  // namespace
 }  // namespace fastft

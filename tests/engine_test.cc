@@ -157,7 +157,7 @@ TEST(EngineTest, PhaseTimesAreSpanSums) {
   // A cleared record and metrics snapshot render as a runtime section with
   // empty times, as the benchmark's report digest relies on.
   r.times.Clear();
-  r.metrics = obs::MetricsSnapshot{};
+  r.metrics.values.clear();
   EXPECT_NE(
       RunReportJson(dataset, r).find("\n  \"runtime\": {\"times\": {}},\n"),
       std::string::npos);
@@ -206,6 +206,48 @@ TEST(EngineTest, SelectActionSpansNestClusteringAndCrossing) {
         }
         EXPECT_TRUE(nested) << name << " outside engine/select_action";
       }
+    }
+  }
+}
+
+TEST(EngineTest, TrainingSpansNestInColdStartAndFinetune) {
+  // engine/train_predictor and engine/train_novelty split the training
+  // phases in the trace without a PhaseTimes bucket: one per model Fit
+  // inside engine/coldstart_train, one per pass inside engine/finetune.
+  const std::string trace =
+      ::testing::TempDir() + "/fastft_train_spans_trace.json";
+  EngineConfig cfg = FastConfig();
+  cfg.trace_path = trace;
+  FastFtEngine(cfg).Run(SmallDataset()).ValueOrDie();
+  const obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+  std::remove(trace.c_str());
+  ASSERT_EQ(snapshot.TotalDropped(), 0);
+  std::map<std::string, std::vector<obs::SpanEvent>> spans;
+  for (const obs::ThreadTrace& thread : snapshot.threads) {
+    for (const obs::SpanEvent& event : thread.events) {
+      spans[event.name].push_back(event);
+    }
+  }
+  const std::vector<obs::SpanEvent>& coldstarts =
+      spans["engine/coldstart_train"];
+  const std::vector<obs::SpanEvent>& finetunes = spans["engine/finetune"];
+  ASSERT_EQ(coldstarts.size(), 1u);
+  ASSERT_GE(finetunes.size(), 1u);
+  const size_t passes =
+      coldstarts.size() +
+      finetunes.size() * static_cast<size_t>(cfg.finetune_epochs);
+  for (const char* name : {"engine/train_predictor", "engine/train_novelty"}) {
+    EXPECT_EQ(spans[name].size(), passes) << name;
+    for (const obs::SpanEvent& event : spans[name]) {
+      bool nested = false;
+      for (const auto* phases : {&coldstarts, &finetunes}) {
+        for (const obs::SpanEvent& phase : *phases) {
+          nested |= event.start_ns >= phase.start_ns &&
+                    event.start_ns + event.duration_ns <=
+                        phase.start_ns + phase.duration_ns;
+        }
+      }
+      EXPECT_TRUE(nested) << name << " outside the training phases";
     }
   }
 }

@@ -268,13 +268,6 @@ TEST(OptimizerTest, AdamConvergesOnQuadratic) {
   EXPECT_NEAR(p.value(0, 0), 3.0, 1e-2);
 }
 
-TEST(OptimizerTest, ZeroGradsClears) {
-  Parameter p(Matrix(2, 2, 1.0));
-  p.grad.Fill(7.0);
-  ZeroGrads({&p});
-  EXPECT_DOUBLE_EQ(p.grad.Norm(), 0.0);
-}
-
 }  // namespace
 }  // namespace nn
 }  // namespace fastft

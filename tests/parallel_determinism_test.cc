@@ -142,10 +142,10 @@ TEST(ParallelDeterminismTest, EngineRunIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminismTest, ObservabilityNeverChangesEngineOutputs) {
-  // The tracing/metrics layer only reads clocks and bumps counters, so a
-  // run with tracing + metrics on must be bit-identical to a run with both
-  // off — at any thread count. Wall-clock fields (times, span durations)
-  // are excluded by construction: the comparison covers scores and traces.
+  // The tracing layer only reads clocks, so a traced run must be
+  // bit-identical to an untraced one — at any thread count. Wall-clock
+  // fields (times, span durations) are excluded by construction: the
+  // comparison covers scores and traces.
   SyntheticSpec spec;
   spec.samples = 120;
   spec.features = 6;
@@ -159,7 +159,6 @@ TEST(ParallelDeterminismTest, ObservabilityNeverChangesEngineOutputs) {
   base_cfg.evaluator.folds = 2;
   base_cfg.evaluator.forest_trees = 6;
   base_cfg.seed = 99;
-  base_cfg.metrics = false;
   base_cfg.num_threads = 1;
   EngineResult plain = FastFtEngine(base_cfg).Run(ds).ValueOrDie();
 
@@ -168,7 +167,6 @@ TEST(ParallelDeterminismTest, ObservabilityNeverChangesEngineOutputs) {
   for (int threads : {1, 4}) {
     EngineConfig obs_cfg = base_cfg;
     obs_cfg.num_threads = threads;
-    obs_cfg.metrics = true;
     obs_cfg.trace_path = trace_path;
     EngineResult observed = FastFtEngine(obs_cfg).Run(ds).ValueOrDie();
 
@@ -186,9 +184,9 @@ TEST(ParallelDeterminismTest, ObservabilityNeverChangesEngineOutputs) {
       EXPECT_EQ(plain.trace[i].novelty, observed.trace[i].novelty)
           << threads << " step " << i;
     }
-    // The snapshot delta is itself deterministic where it counts events.
-    EXPECT_EQ(observed.metrics.CounterValue("engine.steps"),
-              observed.total_steps)
+    // The run's counted work is itself deterministic.
+    EXPECT_EQ(observed.metrics.CounterValue("evaluator.evaluations"),
+              observed.downstream_evaluations)
         << threads;
     std::remove(trace_path.c_str());
   }
@@ -196,11 +194,13 @@ TEST(ParallelDeterminismTest, ObservabilityNeverChangesEngineOutputs) {
 
 TEST(ParallelDeterminismTest, EvaluationCountIsRaceFreeUnderConcurrentUse) {
   // Regression for the `mutable int evaluation_count_` data race: hammer one
-  // evaluator from several threads and check the atomic counter is exact.
+  // evaluator from several threads and check the atomic counters are exact.
   // Under FASTFT_SANITIZE=thread this also proves the const path is
-  // race-free.
+  // race-free; two fold threads per call make the fold counters concurrent
+  // within one call as well.
   Dataset ds = Classification(80);
-  Evaluator evaluator(EvalConfig(1));
+  const EvaluatorConfig config = EvalConfig(2);
+  Evaluator evaluator(config);
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 3;
   std::vector<std::thread> threads;
@@ -210,7 +210,11 @@ TEST(ParallelDeterminismTest, EvaluationCountIsRaceFreeUnderConcurrentUse) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(evaluator.evaluation_count(), kThreads * kCallsPerThread);
+  const int64_t calls = kThreads * kCallsPerThread;
+  EXPECT_EQ(evaluator.evaluation_count(), calls);
+  EXPECT_EQ(evaluator.fold_count(), calls * config.folds);
+  EXPECT_EQ(evaluator.skipped_fold_count(), 0);
+  EXPECT_EQ(evaluator.trees_fit(), evaluator.fold_count() * config.forest_trees);
 }
 
 }  // namespace

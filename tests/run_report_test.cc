@@ -4,9 +4,12 @@
 
 #include <cctype>
 #include <cstdio>
-#include <limits>
 #include <fstream>
+#include <future>
+#include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/threadpool.h"
 #include "core/run_report.h"
@@ -145,11 +148,11 @@ TEST(RunReportTest, ContainsMetricsSection) {
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
   EXPECT_NE(json.find("\"counters\":"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":"), std::string::npos);
-  // Engine counters in the delta agree with the legacy result fields.
-  EXPECT_EQ(r.metrics.CounterValue("engine.steps"), r.total_steps);
-  EXPECT_EQ(r.metrics.CounterValue("engine.downstream_evaluations"),
+  // The run's evaluator counted every downstream evaluation of the run.
+  EXPECT_EQ(r.metrics.CounterValue("evaluator.evaluations"),
             r.downstream_evaluations);
-  EXPECT_NE(json.find("\"engine.steps\": " + std::to_string(r.total_steps)),
+  EXPECT_NE(json.find("\"evaluator.evaluations\": " +
+                      std::to_string(r.downstream_evaluations)),
             std::string::npos);
 
   // Counted work renders in the body's "metrics"; every histogram and
@@ -178,19 +181,56 @@ TEST(RunReportTest, ContainsMetricsSection) {
   }
 }
 
-TEST(RunReportTest, MetricsOffKeepsLegacyShape) {
-  Dataset ds = SmallDataset();
-  EngineConfig cfg;
-  cfg.episodes = 3;
-  cfg.steps_per_episode = 3;
-  cfg.cold_start_episodes = 1;
-  cfg.evaluator.folds = 2;
-  cfg.seed = 77;
-  cfg.metrics = false;
-  EngineResult r = FastFtEngine(cfg).Run(ds).ValueOrDie();
-  EXPECT_TRUE(r.metrics.empty());
-  std::string json = RunReportJson(ds, r);
-  EXPECT_EQ(json.find("\"metrics\":"), std::string::npos);
+TEST(RunReportTest, ConcurrentRunsReportTheirOwnCounters) {
+  // Two runs of different seeds, first alone, then overlapping on two
+  // threads: the body's counted work comes from each run's own evaluator,
+  // so each overlapped report equals its solo report byte for byte, except
+  // the schedule-dependent "runtime" line.
+  SyntheticSpec spec;
+  spec.samples = 60;
+  spec.features = 5;
+  spec.seed = 5;
+  const Dataset dataset = MakeClassification(spec);
+  const uint64_t seeds[2] = {17, 29};
+  auto report = [&](int k) {
+    EngineConfig config;
+    config.episodes = 6;
+    config.steps_per_episode = 4;
+    config.cold_start_episodes = 2;
+    config.seed = seeds[k];
+    Result<EngineResult> result = FastFtEngine(config).Run(dataset);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return std::string();
+    std::string json = RunReportJson(dataset, result.value());
+    const std::string runtime = ReportLine(json, "runtime");
+    EXPECT_FALSE(runtime.empty());
+    json.erase(json.find(runtime), runtime.size());
+    return json;
+  };
+
+  std::string solo[2];
+  for (int k = 0; k < 2; ++k) solo[k] = report(k);
+  ASSERT_NE(solo[0], solo[1]);
+  ASSERT_FALSE(ReportLine(solo[0], "metrics").empty());
+
+  std::promise<void> go;
+  std::shared_future<void> start = go.get_future().share();
+  std::string overlap[2];
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 2; ++k) {
+    threads.emplace_back([&, k] {
+      start.wait();
+      overlap[k] = report(k);
+    });
+  }
+  go.set_value();
+  for (std::thread& t : threads) t.join();
+
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(ReportLine(overlap[k], "metrics"), ReportLine(solo[k], "metrics"))
+        << "run " << k;
+    EXPECT_TRUE(overlap[k] == solo[k]) << "run " << k << " report differs";
+  }
 }
 
 // Minimal recursive-descent JSON validator: enough grammar to prove the

@@ -81,9 +81,9 @@ assert "droppedSpans" in trace, "droppedSpans section missing"
 with open(metrics_path) as f:
     metrics = json.load(f)
 counters = metrics.get("counters", {})
-assert counters.get("engine.steps", 0) > 0, "engine.steps counter missing"
-assert counters.get("engine.downstream_evaluations", 0) > 0, \
-    "engine.downstream_evaluations counter missing"
+assert counters.get("evaluator.evaluations", 0) > 0, \
+    "evaluator.evaluations counter missing"
+assert counters.get("evaluator.folds", 0) > 0, "evaluator.folds counter missing"
 
 # One start/end pair per pool task feeds both its pool/task span and the
 # pool.task_run_us histogram: the counts match, and so do the sums within
