@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: operation application, MI estimation, clustering, state
-// representation, predictor inference, and — the paper's central contrast —
-// one predictor forward pass vs. one full downstream evaluation.
+// representation, predictor inference and training (BM_TrainStep, split into
+// forward, backward and apply), and — the paper's central contrast — one
+// predictor forward pass vs. one full downstream evaluation.
 //
 // Before the google-benchmark suite runs, a per-kernel scalar-vs-SIMD gate
-// times every simd_kernels entry point at representative shapes, asserts the
-// outputs are bit-identical, and persists the speedups to BENCH_kernels.json
+// times every simd_kernels entry point at representative shapes (plus the
+// LSTM weight-gradient shape of TransposeMatMul), asserts the outputs are
+// bit-identical, and persists the speedups to BENCH_kernels.json
 // (atomic write, beside BENCH_robustness.json) so the kernel perf trajectory
 // is machine-checkable across PRs. A second ledger times forest and boosting
 // fits at the engine benchmark's shapes and persists their median and
@@ -32,6 +34,7 @@
 #include "ml/evaluator.h"
 #include "ml/gradient_boosting.h"
 #include "ml/random_forest.h"
+#include "nn/sequence_model.h"
 
 namespace fastft {
 namespace {
@@ -119,6 +122,19 @@ int KernelGate() {
     simd::TransposeMatMul(at.data(), b.data(), out.data(), m, kdim, n,
                           /*accumulate=*/false);
   }));
+  // The LSTM weight-gradient product: dgates (len x 4h)ᵀ · z (len x zdim)
+  // added into dW, at h = 32, zdim = 64 and len = 64.
+  const int lstm_rows = 128, lstm_len = 64, lstm_zdim = 64;
+  std::vector<double> dgates = GateVec(lstm_len * lstm_rows, &rng);
+  std::vector<double> zrows = GateVec(lstm_len * lstm_zdim, &rng);
+  std::vector<double> dw(static_cast<size_t>(lstm_rows) * lstm_zdim);
+  results.push_back(
+      RunKernelGate("transpose_matmul_lstm", false, 200, &dw, [&] {
+        std::fill(dw.begin(), dw.end(), 0.0);
+        simd::TransposeMatMul(dgates.data(), zrows.data(), dw.data(),
+                              lstm_rows, lstm_len, lstm_zdim,
+                              /*accumulate=*/true);
+      }));
   results.push_back(RunKernelGate("matmul_transpose", true, 200, &out, [&] {
     simd::MatMulTranspose(a.data(), bt.data(), out.data(), m, kdim, n);
   }));
@@ -137,12 +153,32 @@ int KernelGate() {
                                   [&] {
     simd::SumAndSumSq(x.data(), vec_n, &small_out[0], &small_out[1]);
   }));
+  // One Adam step of a 4096-parameter tensor from a fixed state; the output
+  // holds the updated values, then m, then v.
+  const std::vector<double> adam_grad = GateVec(vec_n, &rng);
+  const std::vector<double> adam_m = GateVec(vec_n, &rng);
+  std::vector<double> adam_v = GateVec(vec_n, &rng);
+  for (double& value : adam_v) value = value * value;
+  const simd::AdamCoeffs adam{1e-3, 0.9, 0.999, 1e-8, 1.0 - 0.9 * 0.9,
+                              1.0 - 0.999 * 0.999};
+  std::vector<double> adam_out(3 * static_cast<size_t>(vec_n));
+  std::vector<double> adam_g(vec_n);
+  results.push_back(RunKernelGate("adam_step", false, 2000, &adam_out, [&] {
+    double* value = adam_out.data();
+    double* m1 = value + vec_n;
+    double* v1 = m1 + vec_n;
+    std::copy(x.begin(), x.end(), value);
+    std::copy(adam_m.begin(), adam_m.end(), m1);
+    std::copy(adam_v.begin(), adam_v.end(), v1);
+    std::copy(adam_grad.begin(), adam_grad.end(), adam_g.begin());
+    simd::AdamStep(adam, value, adam_g.data(), m1, v1, vec_n);
+  }));
   simd::SetEnabled(true);
 
   bool all_identical = true;
   for (const KernelResult& r : results) {
     all_identical = all_identical && r.identical;
-    std::printf("%-18s scalar %8.3f ms   simd %8.3f ms   speedup %5.2fx   %s\n",
+    std::printf("%-22s scalar %8.3f ms   simd %8.3f ms   speedup %5.2fx   %s\n",
                 r.name, 1e3 * r.scalar_s, 1e3 * r.simd_s, r.Speedup(),
                 r.identical ? "bit-identical" : "DIFFER");
   }
@@ -166,8 +202,9 @@ int KernelGate() {
   std::ostringstream json;
   json << "{\n";
   json << "    \"shapes\": {\"matmul\": [" << m << ", " << kdim << ", " << n
-       << "], \"matvec\": [" << mv_rows << ", " << mv_cols
-       << "], \"vector_n\": " << vec_n << "},\n";
+       << "], \"transpose_matmul_lstm\": [" << lstm_rows << ", " << lstm_len
+       << ", " << lstm_zdim << "], \"matvec\": [" << mv_rows << ", "
+       << mv_cols << "], \"vector_n\": " << vec_n << "},\n";
   json << "    \"kernels\": {\n";
   bool first = true;
   for (const KernelResult& r : results) {
@@ -399,6 +436,54 @@ void BM_ForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestFit)->DenseRange(0, std::size(kFitShapes) - 1)
     ->Unit(benchmark::kMillisecond);
+
+double FirstQuartile(const std::vector<double>& v) {
+  return bench::Quantile(v, 0.25);
+}
+double ThirdQuartile(const std::vector<double>& v) {
+  return bench::Quantile(v, 0.75);
+}
+
+// One training step of the predictor's default network (embedding,
+// 2 x LSTM(32), head {16, 1}) on a sequence of L tokens, split into phases:
+// forward (one Forward), backward (one TrainStep, which is forward plus
+// backward, minus that Forward) and apply (ApplyStep). The iteration time is
+// TrainStep + ApplyStep; the repetitions give each phase's median and
+// quartiles.
+void BM_TrainStep(benchmark::State& state) {
+  nn::SequenceModel model{nn::SequenceModelConfig{}};
+  Rng rng(8);
+  std::vector<int> tokens(state.range(0));
+  for (int& t : tokens) t = rng.UniformInt(model.config().vocab_size);
+  double forward_s = 0.0, backward_s = 0.0, apply_s = 0.0;
+  for (auto _ : state) {
+    WallTimer timer;
+    benchmark::DoNotOptimize(model.Forward(tokens));
+    const double forward = timer.Seconds();
+    timer.Restart();
+    benchmark::DoNotOptimize(model.TrainStep(tokens, 0.5));
+    const double train = timer.Seconds();
+    timer.Restart();
+    model.ApplyStep();
+    const double apply = timer.Seconds();
+    forward_s += forward;
+    backward_s += train - forward;
+    apply_s += apply;
+    state.SetIterationTime(train + apply);
+  }
+  const auto per_step_us = [](double seconds) {
+    return benchmark::Counter(1e6 * seconds,
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["forward_us"] = per_step_us(forward_s);
+  state.counters["backward_us"] = per_step_us(backward_s);
+  state.counters["apply_us"] = per_step_us(apply_s);
+}
+BENCHMARK(BM_TrainStep)->Arg(32)->Arg(64)->Arg(128)->UseManualTime()
+    ->Repetitions(9)->ReportAggregatesOnly(true)
+    ->ComputeStatistics("q1", FirstQuartile)
+    ->ComputeStatistics("q3", ThirdQuartile)
+    ->Unit(benchmark::kMicrosecond);
 
 // The hot matrix product at the gate's shape, through the dispatcher, for
 // profiling runs (the gate above owns the scalar-vs-SIMD comparison).

@@ -10,6 +10,7 @@
 #include "common/simd_kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -72,6 +73,22 @@ void SubScalar(const double* a, const double* b, double* out, int n) {
   for (int i = 0; i < n; ++i) out[i] = a[i] - b[i];
 }
 
+}  // namespace
+
+void AdamStepScalar(const AdamCoeffs& c, double* value, double* grad,
+                    double* m, double* v, int n) {
+  for (int i = 0; i < n; ++i) {
+    m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * grad[i];
+    v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * grad[i] * grad[i];
+    const double mhat = m[i] / c.bias1;
+    const double vhat = v[i] / c.bias2;
+    value[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+    grad[i] = 0.0;
+  }
+}
+
+namespace {
+
 double DotScalar(const double* a, const double* b, int n) {
   double lanes[kLanes] = {0.0};
   const int n4 = n & ~(kLanes - 1);
@@ -125,10 +142,10 @@ void MatMulTransposeScalar(const double* a, const double* b, double* out,
 }
 
 constexpr KernelTable kScalarTable = {
-    MatMulScalar,     TransposeMatMulScalar, AxpyScalar,
-    AddScalar,        SubScalar,             DotScalar,
-    SumAndSumSqScalar, MatVecScalar,         MatMulTransposeScalar,
-    "scalar",
+    MatMulScalar,      TransposeMatMulScalar, AxpyScalar,
+    AddScalar,         SubScalar,             AdamStepScalar,
+    DotScalar,         SumAndSumSqScalar,     MatVecScalar,
+    MatMulTransposeScalar, "scalar",
 };
 
 std::atomic<bool> g_enabled{true};
@@ -203,6 +220,11 @@ void Add(const double* x, double* y, int n) { Active().add(x, y, n); }
 
 void Sub(const double* a, const double* b, double* out, int n) {
   Active().sub(a, b, out, n);
+}
+
+void AdamStep(const AdamCoeffs& c, double* value, double* grad, double* m,
+              double* v, int n) {
+  Active().adam_step(c, value, grad, m, v, n);
 }
 
 double Dot(const double* a, const double* b, int n) {

@@ -10,10 +10,12 @@
 // never changes a single output byte. Two summation-order families make that
 // possible:
 //
-//   A. Element-parallel kernels (MatMul, TransposeMatMul, Axpy, Add, Sub):
-//      vector lanes hold *different output elements*; each element is still
-//      one chain of additions in ascending inner index, exactly the textbook
-//      loop. Lane width is irrelevant to the result, so these are bitwise
+//   A. Element-parallel kernels (MatMul, TransposeMatMul, Axpy, Add, Sub,
+//      AdamStep): vector lanes hold *different output elements*; each
+//      element is still one chain of additions in ascending inner index (or,
+//      for AdamStep, one fixed sequence of correctly rounded operations),
+//      exactly the textbook loop. Lane width and register blocking only
+//      change which elements are in flight together, so these are bitwise
 //      equal to the naive scalar kernel on any ISA.
 //
 //   B. Lane-split reductions (Dot, SumAndSumSq, MatVec, MatMulTranspose):
@@ -79,6 +81,25 @@ void Add(const double* x, double* y, int n);
 /// out[i] = a[i] - b[i].
 void Sub(const double* a, const double* b, double* out, int n);
 
+/// Hyper-parameters of one Adam update; bias1 = 1 − β1^t, bias2 = 1 − β2^t.
+struct AdamCoeffs {
+  double lr, beta1, beta2, eps, bias1, bias2;
+};
+
+/// One Adam update of n parameters, then grad[i] = 0:
+///   m = β1·m + (1−β1)·g;  v = β2·v + ((1−β2)·g)·g;
+///   value −= (lr · (m / bias1)) / (sqrt(v / bias2) + eps).
+/// Divisions and the square root are correctly rounded on every backend and
+/// no reciprocal or FMA is formed, so each element's bits match the scalar
+/// loop.
+void AdamStep(const AdamCoeffs& c, double* value, double* grad, double* m,
+              double* v, int n);
+
+/// The scalar reference of AdamStep, for a backend table without a vector
+/// version of it.
+void AdamStepScalar(const AdamCoeffs& c, double* value, double* grad,
+                    double* m, double* v, int n);
+
 // --- Family B: lane-split reductions (kLanes logical lanes, ascending
 // lane-order combine) -------------------------------------------------------
 
@@ -107,6 +128,8 @@ struct KernelTable {
   void (*axpy)(double, const double*, double*, int);
   void (*add)(const double*, double*, int);
   void (*sub)(const double*, const double*, double*, int);
+  void (*adam_step)(const AdamCoeffs&, double*, double*, double*, double*,
+                    int);
   double (*dot)(const double*, const double*, int);
   void (*sum_and_sumsq)(const double*, int, double*, double*);
   void (*matvec)(const double*, const double*, const double*, double*, int,

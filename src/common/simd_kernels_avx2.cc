@@ -2,11 +2,13 @@
 // selected at runtime when __builtin_cpu_supports("avx2").
 //
 // Bit-identity with the scalar reference (simd_kernels.cc) is the whole
-// game, and two rules keep it:
+// game, and three rules keep it:
 //
 //   * no fused multiply-add — _mm256_mul_pd + _mm256_add_pd round twice,
 //     exactly like the scalar `acc += a * b` under -ffp-contract=off; the
 //     FMA intrinsics would round once and drift;
+//   * _mm256_div_pd and _mm256_sqrt_pd are correctly rounded, like the
+//     scalar `/` and std::sqrt, and no reciprocal stands in for a division;
 //   * family-B reductions keep kLanes (= 4) logical lanes = one __m256d,
 //     tails are applied to the extracted lanes with the same index % 4
 //     assignment as the scalar spec, and lanes combine in ascending order.
@@ -72,47 +74,70 @@ void MatMulAvx2(const double* a, const double* b, double* out, int m,
   }
 }
 
-void TransposeMatMulAvx2(const double* a, const double* b, double* out, int m,
-                         int kdim, int n, bool accumulate) {
-  const int n8 = n & ~7;
-  for (int j0 = 0; j0 < n8; j0 += 8) {
-    for (int i = 0; i < m; ++i) {
-      __m256d acc0 = _mm256_setzero_pd();
-      __m256d acc1 = _mm256_setzero_pd();
-      for (int t = 0; t < kdim; ++t) {
-        const __m256d av = _mm256_set1_pd(a[static_cast<size_t>(t) * m + i]);
-        const double* brow = b + static_cast<size_t>(t) * n + j0;
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, _mm256_loadu_pd(brow)));
-        acc1 = _mm256_add_pd(acc1,
-                             _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4)));
+/// One (R rows × 4V columns) block of out = aᵀ·b starting at (i, j0): R·V
+/// independent accumulators, so the t loop is bound by throughput, not by
+/// the add latency of a single chain. Each element is still the ascending-t
+/// chain of the scalar reference.
+template <int R, int V>
+inline void TransposeMatMulBlock(const double* a, const double* b, double* out,
+                                 int m, int kdim, int n, int i, int j0,
+                                 bool accumulate) {
+  __m256d acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_pd();
+  }
+  for (int t = 0; t < kdim; ++t) {
+    const double* arow = a + static_cast<size_t>(t) * m + i;
+    const double* brow = b + static_cast<size_t>(t) * n + j0;
+    __m256d bv[V];
+    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_pd(brow + 4 * v);
+    for (int r = 0; r < R; ++r) {
+      const __m256d av = _mm256_set1_pd(arow[r]);
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(av, bv[v]));
       }
-      double* orow = out + static_cast<size_t>(i) * n + j0;
-      if (accumulate) {
-        acc0 = _mm256_add_pd(_mm256_loadu_pd(orow), acc0);
-        acc1 = _mm256_add_pd(_mm256_loadu_pd(orow + 4), acc1);
-      }
-      _mm256_storeu_pd(orow, acc0);
-      _mm256_storeu_pd(orow + 4, acc1);
     }
   }
-  int j0 = n8;
-  if (n - j0 >= 4) {
-    for (int i = 0; i < m; ++i) {
-      __m256d acc = _mm256_setzero_pd();
-      for (int t = 0; t < kdim; ++t) {
-        const __m256d av = _mm256_set1_pd(a[static_cast<size_t>(t) * m + i]);
-        acc = _mm256_add_pd(
-            acc, _mm256_mul_pd(
-                     av, _mm256_loadu_pd(b + static_cast<size_t>(t) * n + j0)));
-      }
-      double* orow = out + static_cast<size_t>(i) * n + j0;
-      if (accumulate) acc = _mm256_add_pd(_mm256_loadu_pd(orow), acc);
-      _mm256_storeu_pd(orow, acc);
+  for (int r = 0; r < R; ++r) {
+    double* orow = out + static_cast<size_t>(i + r) * n + j0;
+    for (int v = 0; v < V; ++v) {
+      __m256d res = acc[r][v];
+      if (accumulate) res = _mm256_add_pd(_mm256_loadu_pd(orow + 4 * v), res);
+      _mm256_storeu_pd(orow + 4 * v, res);
     }
+  }
+}
+
+/// Every row of the column panel [j0, j0 + 4V), two rows per block.
+template <int V>
+inline void TransposeMatMulPanel(const double* a, const double* b, double* out,
+                                 int m, int kdim, int n, int j0,
+                                 bool accumulate) {
+  int i = 0;
+  for (; i + 2 <= m; i += 2) {
+    TransposeMatMulBlock<2, V>(a, b, out, m, kdim, n, i, j0, accumulate);
+  }
+  if (i < m) {
+    TransposeMatMulBlock<1, V>(a, b, out, m, kdim, n, i, j0, accumulate);
+  }
+}
+
+void TransposeMatMulAvx2(const double* a, const double* b, double* out, int m,
+                         int kdim, int n, bool accumulate) {
+  int j0 = 0;
+  for (; j0 + 16 <= n; j0 += 16) {
+    TransposeMatMulPanel<4>(a, b, out, m, kdim, n, j0, accumulate);
+  }
+  if (n - j0 >= 8) {
+    TransposeMatMulPanel<2>(a, b, out, m, kdim, n, j0, accumulate);
+    j0 += 8;
+  }
+  if (n - j0 >= 4) {
+    TransposeMatMulPanel<1>(a, b, out, m, kdim, n, j0, accumulate);
     j0 += 4;
   }
   if (j0 < n) {
-    const int jw = n - j0;
+    const int jw = n - j0;  // 1..3 trailing columns
     for (int i = 0; i < m; ++i) {
       double acc[3] = {0.0, 0.0, 0.0};
       for (int t = 0; t < kdim; ++t) {
@@ -157,6 +182,39 @@ void SubAvx2(const double* a, const double* b, double* out, int n) {
         _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
   for (int i = n4; i < n; ++i) out[i] = a[i] - b[i];
+}
+
+void AdamStepAvx2(const AdamCoeffs& c, double* value, double* grad, double* m,
+                  double* v, int n) {
+  const __m256d beta1 = _mm256_set1_pd(c.beta1);
+  const __m256d beta2 = _mm256_set1_pd(c.beta2);
+  const __m256d one_minus_beta1 = _mm256_set1_pd(1.0 - c.beta1);
+  const __m256d one_minus_beta2 = _mm256_set1_pd(1.0 - c.beta2);
+  const __m256d bias1 = _mm256_set1_pd(c.bias1);
+  const __m256d bias2 = _mm256_set1_pd(c.bias2);
+  const __m256d lr = _mm256_set1_pd(c.lr);
+  const __m256d eps = _mm256_set1_pd(c.eps);
+  const int n4 = n & ~3;
+  for (int i = 0; i < n4; i += 4) {
+    const __m256d g = _mm256_loadu_pd(grad + i);
+    const __m256d mi =
+        _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_loadu_pd(m + i)),
+                      _mm256_mul_pd(one_minus_beta1, g));
+    const __m256d vi = _mm256_add_pd(
+        _mm256_mul_pd(beta2, _mm256_loadu_pd(v + i)),
+        _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g));
+    _mm256_storeu_pd(m + i, mi);
+    _mm256_storeu_pd(v + i, vi);
+    const __m256d mhat = _mm256_div_pd(mi, bias1);
+    const __m256d vhat = _mm256_div_pd(vi, bias2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                      _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm256_storeu_pd(value + i,
+                     _mm256_sub_pd(_mm256_loadu_pd(value + i), step));
+    _mm256_storeu_pd(grad + i, _mm256_setzero_pd());
+  }
+  AdamStepScalar(c, value + n4, grad + n4, m + n4, v + n4, n - n4);
 }
 
 /// Ascending lane-order combine of one __m256d accumulator plus the scalar
@@ -282,9 +340,9 @@ void MatMulTransposeAvx2(const double* a, const double* b, double* out, int m,
 
 constexpr KernelTable kAvx2Table = {
     MatMulAvx2,      TransposeMatMulAvx2, AxpyAvx2,
-    AddAvx2,         SubAvx2,             DotAvx2,
-    SumAndSumSqAvx2, MatVecAvx2,          MatMulTransposeAvx2,
-    "avx2",
+    AddAvx2,         SubAvx2,             AdamStepAvx2,
+    DotAvx2,         SumAndSumSqAvx2,     MatVecAvx2,
+    MatMulTransposeAvx2, "avx2",
 };
 
 }  // namespace

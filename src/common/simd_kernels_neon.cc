@@ -189,11 +189,12 @@ void MatMulTransposeNeon(const double* a, const double* b, double* out, int m,
   }
 }
 
+// AdamStep has no NEON version yet; the scalar reference is exact.
 constexpr KernelTable kNeonTable = {
     MatMulNeon,      TransposeMatMulNeon, AxpyNeon,
-    AddNeon,         SubNeon,             DotNeon,
-    SumAndSumSqNeon, MatVecNeon,          MatMulTransposeNeon,
-    "neon",
+    AddNeon,         SubNeon,             AdamStepScalar,
+    DotNeon,         SumAndSumSqNeon,     MatVecNeon,
+    MatMulTransposeNeon, "neon",
 };
 
 }  // namespace

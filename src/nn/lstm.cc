@@ -1,5 +1,6 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -28,40 +29,44 @@ Matrix LstmLayer::Forward(const Matrix& x) {
   const int len = x.rows();
   const int h = hidden_dim_;
   const int zdim = h + input_dim_;
-  cache_.assign(len, StepCache{});
+  const size_t rows = static_cast<size_t>(len);
+  len_ = len;
+  z_.resize(rows * zdim);
+  gates_.resize(rows * 4 * h);
+  c_.assign((rows + 1) * h, 0.0);
+  tanh_c_.resize(rows * h);
   Matrix hidden(len, h);
 
-  std::vector<double> h_prev(h, 0.0), c_prev(h, 0.0);
-  std::vector<double> pre(4 * h);
+  bool pre_finite = true;
   for (int t = 0; t < len; ++t) {
-    StepCache& sc = cache_[t];
-    sc.z.resize(zdim);
-    for (int j = 0; j < h; ++j) sc.z[j] = h_prev[j];
-    for (int j = 0; j < input_dim_; ++j) sc.z[h + j] = x(t, j);
-    sc.c_prev = c_prev;
+    double* z = z_.data() + static_cast<size_t>(len - 1 - t) * zdim;
+    for (int j = 0; j < h; ++j) z[j] = t > 0 ? hidden(t - 1, j) : 0.0;
+    for (int j = 0; j < input_dim_; ++j) z[h + j] = x(t, j);
 
-    sc.i.resize(h);
-    sc.f.resize(h);
-    sc.g.resize(h);
-    sc.o.resize(h);
-    sc.c.resize(h);
-    sc.tanh_c.resize(h);
     // All four gate pre-activations in one (4h × zdim) · z matvec: W is laid
-    // out [i; f; g; o] row blocks and b_ is a contiguous column.
-    simd::MatVec(w_.value.data(), b_.value.data(), sc.z.data(), pre.data(),
-                 4 * h, zdim);
+    // out [i; f; g; o] row blocks and b_ is a contiguous column. The gates
+    // are then activated in place.
+    double* gate = gates_.data() + static_cast<size_t>(t) * 4 * h;
+    simd::MatVec(w_.value.data(), b_.value.data(), z, gate, 4 * h, zdim);
+    for (int r = 0; r < 4 * h; ++r) pre_finite &= std::isfinite(gate[r]);
+    const double* c_prev = c_.data() + static_cast<size_t>(t) * h;
+    double* c = c_.data() + static_cast<size_t>(t + 1) * h;
+    double* tanh_c = tanh_c_.data() + static_cast<size_t>(t) * h;
     for (int j = 0; j < h; ++j) {
-      sc.i[j] = Sigmoid(pre[j]);
-      sc.f[j] = Sigmoid(pre[h + j]);
-      sc.g[j] = std::tanh(pre[2 * h + j]);
-      sc.o[j] = Sigmoid(pre[3 * h + j]);
-      sc.c[j] = sc.f[j] * c_prev[j] + sc.i[j] * sc.g[j];
-      sc.tanh_c[j] = std::tanh(sc.c[j]);
-      hidden(t, j) = sc.o[j] * sc.tanh_c[j];
-      h_prev[j] = hidden(t, j);
+      const double i = Sigmoid(gate[j]);
+      const double f = Sigmoid(gate[h + j]);
+      const double g = std::tanh(gate[2 * h + j]);
+      const double o = Sigmoid(gate[3 * h + j]);
+      gate[j] = i;
+      gate[h + j] = f;
+      gate[2 * h + j] = g;
+      gate[3 * h + j] = o;
+      c[j] = f * c_prev[j] + i * g;
+      tanh_c[j] = std::tanh(c[j]);
+      hidden(t, j) = o * tanh_c[j];
     }
-    c_prev = sc.c;
   }
+  pre_finite_ = pre_finite;
   return hidden;
 }
 
@@ -98,46 +103,68 @@ Matrix LstmLayer::ForwardInfer(const Matrix& x, std::vector<double>* h_state,
 }
 
 Matrix LstmLayer::Backward(const Matrix& dh_all) {
-  const int len = static_cast<int>(cache_.size());
+  const int len = len_;
   FASTFT_CHECK_EQ(dh_all.rows(), len);
   const int h = hidden_dim_;
   const int zdim = h + input_dim_;
   Matrix dx(len, input_dim_);
 
-  std::vector<double> dh_next(h, 0.0), dc_next(h, 0.0);
-  std::vector<double> dgates(4 * h);
+  std::vector<double> dh_next(h, 0.0), dc_next(h, 0.0), dz(zdim);
+  // Pre-activation gradients; row s holds timestep len−1−s, the row order
+  // of z_, so dW += dgatesᵀ · z is one product over the sequence.
+  std::vector<double> dgates(static_cast<size_t>(len) * 4 * h);
   for (int t = len - 1; t >= 0; --t) {
-    const StepCache& sc = cache_[t];
+    const double* gate = gates_.data() + static_cast<size_t>(t) * 4 * h;
+    const double* gi = gate;
+    const double* gf = gate + h;
+    const double* gg = gate + 2 * h;
+    const double* go = gate + 3 * h;
+    const double* c_prev = c_.data() + static_cast<size_t>(t) * h;
+    const double* tanh_c = tanh_c_.data() + static_cast<size_t>(t) * h;
+    const size_t row = static_cast<size_t>(len - 1 - t);
+    double* dg = dgates.data() + row * 4 * h;
     for (int j = 0; j < h; ++j) {
       double dh = dh_all(t, j) + dh_next[j];
-      double d_o = dh * sc.tanh_c[j];
-      double dc = dh * sc.o[j] * (1.0 - sc.tanh_c[j] * sc.tanh_c[j]) +
-                  dc_next[j];
-      double d_i = dc * sc.g[j];
-      double d_g = dc * sc.i[j];
-      double d_f = dc * sc.c_prev[j];
-      dc_next[j] = dc * sc.f[j];
-      // Pre-activation gradients.
-      dgates[j] = d_i * sc.i[j] * (1.0 - sc.i[j]);
-      dgates[h + j] = d_f * sc.f[j] * (1.0 - sc.f[j]);
-      dgates[2 * h + j] = d_g * (1.0 - sc.g[j] * sc.g[j]);
-      dgates[3 * h + j] = d_o * sc.o[j] * (1.0 - sc.o[j]);
+      double d_o = dh * tanh_c[j];
+      double dc = dh * go[j] * (1.0 - tanh_c[j] * tanh_c[j]) + dc_next[j];
+      double d_i = dc * gg[j];
+      double d_g = dc * gi[j];
+      double d_f = dc * c_prev[j];
+      dc_next[j] = dc * gf[j];
+      dg[j] = d_i * gi[j] * (1.0 - gi[j]);
+      dg[h + j] = d_f * gf[j] * (1.0 - gf[j]);
+      dg[2 * h + j] = d_g * (1.0 - gg[j] * gg[j]);
+      dg[3 * h + j] = d_o * go[j] * (1.0 - go[j]);
     }
-    // Parameter grads: dW += dgates ⊗ z; db += dgates. Input grads via W^T.
-    // The dg == 0 skip is a pure speedup for saturated gates: += 0 · z[k]
-    // cannot change any finite accumulator.
-    std::vector<double> dz(zdim, 0.0);
-    for (int r = 0; r < 4 * h; ++r) {
-      double dg = dgates[r];
-      if (dg == 0.0) continue;
-      b_.grad(r, 0) += dg;
-      simd::Axpy(dg, sc.z.data(),
-                 w_.grad.data() + static_cast<size_t>(r) * zdim, zdim);
-      simd::Axpy(dg, w_.value.data() + static_cast<size_t>(r) * zdim,
-                 dz.data(), zdim);
+    if (pre_finite_) {
+      // db += dgates; dz = Wᵀ · dgates, each dz[k] the ascending-r chain.
+      // With W and z finite, a gate gradient of exactly 0 adds ±0 to chains
+      // that start at +0, which changes no bit, so no skip is needed.
+      simd::Add(dg, b_.grad.data(), 4 * h);
+      simd::TransposeMatMul(dg, w_.value.data(), dz.data(), 1, 4 * h, zdim,
+                            /*accumulate=*/false);
+    } else {
+      // Streamed fallback for non-finite W or z: the dg == 0 skip keeps a
+      // saturated gate's 0 · Inf from turning dW and dz into NaN.
+      const double* z = z_.data() + row * zdim;
+      std::fill(dz.begin(), dz.end(), 0.0);
+      for (int r = 0; r < 4 * h; ++r) {
+        const double dgr = dg[r];
+        if (dgr == 0.0) continue;
+        b_.grad(r, 0) += dgr;
+        simd::Axpy(dgr, z, w_.grad.data() + static_cast<size_t>(r) * zdim,
+                   zdim);
+        simd::Axpy(dgr, w_.value.data() + static_cast<size_t>(r) * zdim,
+                   dz.data(), zdim);
+      }
     }
     for (int j = 0; j < h; ++j) dh_next[j] = dz[j];
     for (int j = 0; j < input_dim_; ++j) dx(t, j) = dz[h + j];
+  }
+  if (pre_finite_) {
+    // dW(r, k) += Σ_s dgates(s, r) · z(s, k), s ascending = t descending.
+    simd::TransposeMatMul(dgates.data(), z_.data(), w_.grad.data(), 4 * h,
+                          len, zdim, /*accumulate=*/true);
   }
   return dx;
 }
@@ -152,10 +179,10 @@ size_t LstmLayer::ParameterBytes() const {
 }
 
 size_t LstmLayer::ActivationBytes(int len) const {
-  // z, i, f, g, o, c, tanh_c, c_prev per timestep.
-  size_t per_step = static_cast<size_t>(hidden_dim_ + input_dim_) +
-                    7u * static_cast<size_t>(hidden_dim_);
-  return per_step * static_cast<size_t>(len) * sizeof(double);
+  // z, i, f, g, o, c, tanh_c per timestep, plus the c_{-1} row.
+  const size_t h = static_cast<size_t>(hidden_dim_);
+  const size_t per_step = static_cast<size_t>(input_dim_) + 7u * h;
+  return (per_step * static_cast<size_t>(len) + h) * sizeof(double);
 }
 
 }  // namespace nn

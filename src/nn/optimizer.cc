@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/simd_kernels.h"
+
 namespace fastft {
 namespace nn {
 
@@ -36,20 +38,11 @@ void AdamOptimizer::Step() {
   ++t_;
   const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const simd::AdamCoeffs coeffs{lr_, beta1_, beta2_, eps_, bias1, bias2};
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
-    double* value = p->value.data();
-    double* grad = p->grad.data();
-    std::vector<double>& m = m_[i];
-    std::vector<double>& v = v_[i];
-    for (size_t j = 0; j < p->size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * grad[j];
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * grad[j] * grad[j];
-      double mhat = m[j] / bias1;
-      double vhat = v[j] / bias2;
-      value[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-      grad[j] = 0.0;
-    }
+    simd::AdamStep(coeffs, p->value.data(), p->grad.data(), m_[i].data(),
+                   v_[i].data(), static_cast<int>(p->size()));
   }
 }
 

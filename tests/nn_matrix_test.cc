@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/serial.h"
+#include "common/simd_kernels.h"
 #include "nn/init.h"
 #include "nn/matrix.h"
 #include "nn/optimizer.h"
@@ -266,6 +270,109 @@ TEST(OptimizerTest, AdamConvergesOnQuadratic) {
     adam.Step();
   }
   EXPECT_NEAR(p.value(0, 0), 3.0, 1e-2);
+}
+
+/// Test-local copy of the scalar Adam loop AdamOptimizer::Step ran before it
+/// called simd::AdamStep, with the same SaveState layout.
+class ParentLoopAdam {
+ public:
+  explicit ParentLoopAdam(const std::vector<size_t>& sizes) {
+    for (size_t n : sizes) {
+      m_.emplace_back(n, 0.0);
+      v_.emplace_back(n, 0.0);
+    }
+  }
+
+  void Step(const std::vector<Parameter*>& params) {
+    ++t_;
+    const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+    const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+    for (size_t i = 0; i < params.size(); ++i) {
+      Parameter* p = params[i];
+      double* value = p->value.data();
+      double* grad = p->grad.data();
+      std::vector<double>& m = m_[i];
+      std::vector<double>& v = v_[i];
+      for (size_t j = 0; j < p->size(); ++j) {
+        m[j] = beta1_ * m[j] + (1.0 - beta1_) * grad[j];
+        v[j] = beta2_ * v[j] + (1.0 - beta2_) * grad[j] * grad[j];
+        double mhat = m[j] / bias1;
+        double vhat = v[j] / bias2;
+        value[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+        grad[j] = 0.0;
+      }
+    }
+  }
+
+  void SaveState(common::BinaryWriter* writer) const {
+    writer->WriteI64(t_);
+    writer->WriteU32(static_cast<uint32_t>(m_.size()));
+    for (size_t i = 0; i < m_.size(); ++i) {
+      writer->WriteVecDouble(m_[i]);
+      writer->WriteVecDouble(v_[i]);
+    }
+  }
+
+ private:
+  double lr_ = 1e-3, beta1_ = 0.9, beta2_ = 0.999, eps_ = 1e-8;
+  int64_t t_ = 0;
+  std::vector<std::vector<double>> m_, v_;
+};
+
+TEST(OptimizerTest, AdamStepMatchesParentLoop) {
+  const std::vector<size_t> sizes = {1, 3, 5, 129};
+  for (bool simd_on : {true, false}) {
+    const bool was_enabled = simd::Enabled();
+    simd::SetEnabled(simd_on);
+    Rng rng(31);
+    std::vector<Parameter> actual, expected;
+    for (size_t n : sizes) {
+      actual.emplace_back(Matrix::Randn(1, static_cast<int>(n), 1.0, &rng));
+      expected.emplace_back(actual.back().value);
+    }
+    std::vector<Parameter*> actual_ptrs, expected_ptrs;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      actual_ptrs.push_back(&actual[i]);
+      expected_ptrs.push_back(&expected[i]);
+    }
+    AdamOptimizer adam(actual_ptrs);
+    ParentLoopAdam reference(sizes);
+    for (int step = 0; step < 3; ++step) {
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        for (size_t j = 0; j < sizes[i]; ++j) {
+          // A few exact zeros and a subnormal among normal gradients.
+          double g = rng.Normal(0.0, 1.0);
+          if (j % 7 == 3) g = (step % 2 == 0) ? 0.0 : -0.0;
+          if (j % 11 == 5) g = 3e-310;
+          actual[i].grad.data()[j] = g;
+          expected[i].grad.data()[j] = g;
+        }
+      }
+      adam.Step();
+      reference.Step(expected_ptrs);
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        const size_t bytes = sizes[i] * sizeof(double);
+        EXPECT_EQ(std::memcmp(actual[i].value.data(), expected[i].value.data(),
+                              bytes),
+                  0)
+            << "value, size " << sizes[i] << " step " << step;
+        EXPECT_EQ(std::memcmp(actual[i].grad.data(), expected[i].grad.data(),
+                              bytes),
+                  0)
+            << "grad, size " << sizes[i] << " step " << step;
+      }
+      common::BinaryWriter actual_state, expected_state;
+      adam.SaveState(&actual_state);
+      reference.SaveState(&expected_state);
+      ASSERT_EQ(actual_state.buffer().size(), expected_state.buffer().size());
+      EXPECT_EQ(std::memcmp(actual_state.buffer().data(),
+                            expected_state.buffer().data(),
+                            actual_state.buffer().size()),
+                0)
+          << "SaveState bytes, step " << step << " simd " << simd_on;
+    }
+    simd::SetEnabled(was_enabled);
+  }
 }
 
 }  // namespace

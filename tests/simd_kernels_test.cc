@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -40,12 +42,18 @@ std::vector<double> RandomVec(int n, Rng* rng) {
 }
 
 // Shapes chosen to hit every tail path: below one vector width, exact
-// multiples of 4 and 8, and 1-3 trailing lanes on both block sizes.
+// multiples of 4 and 8, 1-3 trailing lanes on both block sizes, and the
+// register blocks of TransposeMatMul (row pairs plus an odd last row, 16-,
+// 8- and 4-column panels) at the LSTM's dz (1 x 128 x 64) and dW
+// (128 x len x 64) shapes.
 struct Shape {
   int m, k, n;
 };
-const Shape kShapes[] = {{1, 1, 1},  {2, 3, 5},   {3, 4, 8},   {4, 7, 9},
-                         {5, 8, 12}, {6, 13, 15}, {13, 37, 21}, {8, 32, 30}};
+const Shape kShapes[] = {{1, 1, 1},     {2, 3, 5},     {3, 4, 8},
+                         {4, 7, 9},     {5, 8, 12},    {6, 13, 15},
+                         {13, 37, 21},  {8, 32, 30},   {1, 128, 64},
+                         {128, 53, 64}, {128, 130, 64}, {2, 5, 16},
+                         {3, 4, 17},    {5, 9, 33}};
 
 TEST(SimdKernelsTest, BackendTogglesBetweenVectorAndScalar) {
   SimdToggleGuard guard;
@@ -125,6 +133,54 @@ TEST(SimdKernelsTest, ElementwiseKernelsBitIdenticalToScalar) {
       ASSERT_EQ(vec_axpy[i], scalar_axpy[i]) << "Axpy n=" << n << " i=" << i;
       ASSERT_EQ(vec_add[i], scalar_add[i]) << "Add n=" << n << " i=" << i;
       ASSERT_EQ(vec_sub[i], scalar_sub[i]) << "Sub n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(SimdKernelsTest, AdamStepBitIdenticalToScalar) {
+  // Gradients include signed zeros, subnormals, values whose square
+  // overflows, and non-finite values; every output is compared bit for bit.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kSpecial[] = {0.0,     -0.0,  4.9e-324, -2.5e-310, 1e300,
+                             -1e300,  kInf,  -kInf,
+                             std::numeric_limits<double>::quiet_NaN()};
+  const simd::AdamCoeffs coeffs{1e-3, 0.9, 0.999, 1e-8, 1.0 - 0.9 * 0.9 * 0.9,
+                                1.0 - 0.999 * 0.999 * 0.999};
+  SimdToggleGuard guard;
+  Rng rng(107);
+  std::vector<int> sizes;
+  for (int n = 0; n <= 19; ++n) sizes.push_back(n);
+  sizes.push_back(4097);
+  for (int n : sizes) {
+    std::vector<double> value = RandomVec(n, &rng);
+    std::vector<double> grad = RandomVec(n, &rng);
+    std::vector<double> m = RandomVec(n, &rng);
+    std::vector<double> v = RandomVec(n, &rng);
+    for (double& x : v) x = x * x;
+    for (int i = 0; i < n; i += 2) {
+      grad[i] = kSpecial[(i / 2) % std::size(kSpecial)];
+    }
+    std::vector<double> outs[2][4];
+    for (bool enabled : {true, false}) {
+      simd::SetEnabled(enabled);
+      std::vector<double>* out = outs[enabled ? 1 : 0];
+      out[0] = value;
+      out[1] = grad;
+      out[2] = m;
+      out[3] = v;
+      simd::AdamStep(coeffs, out[0].data(), out[1].data(), out[2].data(),
+                     out[3].data(), n);
+    }
+    const char* names[] = {"value", "grad", "m", "v"};
+    for (int k = 0; n > 0 && k < 4; ++k) {
+      ASSERT_EQ(std::memcmp(outs[0][k].data(), outs[1][k].data(),
+                            n * sizeof(double)),
+                0)
+          << names[k] << " n=" << n;
+    }
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(std::signbit(outs[0][1][i]), false) << "grad not +0, i=" << i;
+      ASSERT_EQ(outs[0][1][i], 0.0) << "grad not zeroed, i=" << i;
     }
   }
 }
