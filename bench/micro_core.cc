@@ -6,12 +6,14 @@
 //
 // Before the google-benchmark suite runs, a per-kernel scalar-vs-SIMD gate
 // times every simd_kernels entry point at representative shapes (plus the
-// LSTM weight-gradient shape of TransposeMatMul), asserts the outputs are
-// bit-identical, and persists the speedups to BENCH_kernels.json
-// (atomic write, beside BENCH_robustness.json) so the kernel perf trajectory
-// is machine-checkable across PRs. A second ledger times forest and boosting
-// fits at the engine benchmark's shapes and persists their median and
-// quartiles to BENCH_forest.json.
+// LSTM weight-gradient shape of TransposeMatMul) in interleaved
+// scalar/SIMD pairs, asserts the outputs are bit-identical, and persists the
+// median speedup and its quartiles to BENCH_kernels.json (atomic write,
+// beside BENCH_robustness.json) so the kernel perf trajectory is
+// machine-checkable across PRs. A second ledger times forest and boosting
+// fits, and whole k-fold Evaluator::Evaluate calls, at the engine
+// benchmark's shapes and persists their median and quartiles to
+// BENCH_forest.json.
 
 #include <benchmark/benchmark.h>
 
@@ -47,30 +49,35 @@ std::vector<double> GateVec(int n, Rng* rng) {
   return v;
 }
 
-/// Best-of-5 wall time of `reps` back-to-back kernel invocations.
+/// Scalar/SIMD timing pairs per kernel. Each pair times both backends back
+/// to back, so host load that drifts over the gate hits both sides of a
+/// ratio alike; the gate reads the median ratio.
+constexpr int kGatePairs = 9;
+
+/// Wall time of `reps` back-to-back kernel invocations.
 template <typename Fn>
 double TimeKernel(int reps, const Fn& fn) {
-  double best = 1e300;
-  for (int trial = 0; trial < 5; ++trial) {
-    WallTimer timer;
-    for (int r = 0; r < reps; ++r) fn();
-    best = std::min(best, timer.Seconds());
-  }
-  return best;
+  WallTimer timer;
+  for (int r = 0; r < reps; ++r) fn();
+  return timer.Seconds();
 }
 
 struct KernelResult {
   const char* name;
   bool matmul_family;  // the kernels under the >= 2x acceptance gate
+  /// Medians over the pairs.
   double scalar_s = 0.0;
   double simd_s = 0.0;
+  /// Quartiles of the per-pair scalar/SIMD time ratio.
+  double speedup_q1 = 0.0;
+  double speedup = 0.0;
+  double speedup_q3 = 0.0;
   bool identical = false;
-
-  double Speedup() const { return simd_s > 0.0 ? scalar_s / simd_s : 0.0; }
 };
 
-/// Runs `fn` (which writes into `out`) under both backends, records the
-/// timings, and checks the two outputs bit for bit.
+/// Runs `fn` (which writes into `out`) under both backends, checks the two
+/// outputs bit for bit, and times kGatePairs interleaved scalar/SIMD pairs
+/// (the backend that goes first alternates).
 template <typename Fn>
 KernelResult RunKernelGate(const char* name, bool matmul_family, int reps,
                            std::vector<double>* out, const Fn& fn) {
@@ -78,11 +85,27 @@ KernelResult RunKernelGate(const char* name, bool matmul_family, int reps,
   simd::SetEnabled(false);
   fn();
   std::vector<double> scalar_out = *out;
-  result.scalar_s = TimeKernel(reps, fn);
   simd::SetEnabled(true);
   fn();
   result.identical = (*out == scalar_out);
-  result.simd_s = TimeKernel(reps, fn);
+  std::vector<double> scalar_s, simd_s, ratio;
+  for (int pair = 0; pair < kGatePairs; ++pair) {
+    double seconds[2] = {0.0, 0.0};  // [scalar, simd]
+    for (int half = 0; half < 2; ++half) {
+      const int backend = (pair + half) % 2;
+      simd::SetEnabled(backend == 1);
+      seconds[backend] = TimeKernel(reps, fn);
+    }
+    scalar_s.push_back(seconds[0]);
+    simd_s.push_back(seconds[1]);
+    ratio.push_back(seconds[1] > 0.0 ? seconds[0] / seconds[1] : 0.0);
+  }
+  simd::SetEnabled(true);
+  result.scalar_s = bench::Quantile(scalar_s, 0.5);
+  result.simd_s = bench::Quantile(simd_s, 0.5);
+  result.speedup_q1 = bench::Quantile(ratio, 0.25);
+  result.speedup = bench::Quantile(ratio, 0.5);
+  result.speedup_q3 = bench::Quantile(ratio, 0.75);
   return result;
 }
 
@@ -178,22 +201,26 @@ int KernelGate() {
   bool all_identical = true;
   for (const KernelResult& r : results) {
     all_identical = all_identical && r.identical;
-    std::printf("%-22s scalar %8.3f ms   simd %8.3f ms   speedup %5.2fx   %s\n",
-                r.name, 1e3 * r.scalar_s, 1e3 * r.simd_s, r.Speedup(),
-                r.identical ? "bit-identical" : "DIFFER");
+    std::printf(
+        "%-22s scalar %8.3f ms   simd %8.3f ms   speedup %5.2fx "
+        "[%.2f, %.2f]   %s\n",
+        r.name, 1e3 * r.scalar_s, 1e3 * r.simd_s, r.speedup, r.speedup_q1,
+        r.speedup_q3, r.identical ? "bit-identical" : "DIFFER");
   }
 
   const bool vector_available = simd::VectorBackendAvailable();
   bool matmul_gate = true;
   for (const KernelResult& r : results) {
-    if (r.matmul_family) matmul_gate = matmul_gate && r.Speedup() >= 2.0;
+    if (r.matmul_family) matmul_gate = matmul_gate && r.speedup >= 2.0;
   }
   bench::ShapeCheck(all_identical,
                     "every kernel is bit-identical scalar vs SIMD");
   if (vector_available) {
     bench::ShapeCheck(matmul_gate,
-                      "MatMul-family kernels >= 2x with FASTFT_SIMD=ON at "
-                      "representative shapes");
+                      "MatMul-family kernels >= 2x (median of " +
+                          std::to_string(kGatePairs) +
+                          " interleaved pairs) with FASTFT_SIMD=ON at "
+                          "representative shapes");
   } else {
     std::printf("paper-shape check: [SKIP] >= 2x gate needs a vector backend "
                 "(this build/host runs scalar only)\n");
@@ -201,6 +228,7 @@ int KernelGate() {
 
   std::ostringstream json;
   json << "{\n";
+  json << "    \"pairs\": " << kGatePairs << ",\n";
   json << "    \"shapes\": {\"matmul\": [" << m << ", " << kdim << ", " << n
        << "], \"transpose_matmul_lstm\": [" << lstm_rows << ", " << lstm_len
        << ", " << lstm_zdim << "], \"matvec\": [" << mv_rows << ", "
@@ -211,7 +239,9 @@ int KernelGate() {
     json << (first ? "" : ",\n") << "      \"" << r.name << "\": {"
          << "\"scalar_ms\": " << 1e3 * r.scalar_s
          << ", \"simd_ms\": " << 1e3 * r.simd_s
-         << ", \"speedup\": " << r.Speedup()
+         << ", \"speedup\": " << r.speedup
+         << ", \"speedup_q1\": " << r.speedup_q1
+         << ", \"speedup_q3\": " << r.speedup_q3
          << ", \"bit_identical\": " << (r.identical ? "true" : "false")
          << "}";
     first = false;
@@ -237,44 +267,58 @@ Dataset BenchDataset(int samples = 500, int features = 16) {
 
 // --- Forest-fit ledger ------------------------------------------------------
 
-/// One downstream model fit at a shape the engine benchmark produces.
+/// One downstream model fit, or one k-fold evaluation, at a shape the
+/// engine benchmark produces.
 struct FitShape {
   const char* name;
   int rows;
   int features;
   /// Forest trees; 0 fits a GradientBoosting model at its defaults instead.
   int trees;
+  /// >0: one serial Evaluator::Evaluate of a forest over `rows` rows with
+  /// this many folds, instead of one fit.
+  int folds = 0;
 };
 
 // eval_bound: one fold's training split (3/4 of 1000 rows) over the 28-column
 // feature budget, 12 trees. explore: about two thirds of 300 rows over the
 // 32 originals plus 16 generated columns, at the evaluator's default 8 trees.
+// The evaluate_* rows time the whole k-fold evaluation at those shapes.
 constexpr FitShape kFitShapes[] = {
     {"forest_eval_bound", 750, 28, 12},
     {"forest_explore", 200, 48, 8},
     {"boosting_eval_bound", 750, 28, 0},
+    {"evaluate_eval_bound", 1000, 28, 12, 4},
+    {"evaluate_explore", 300, 48, 8, 3},
 };
 
 struct FitInput {
+  Dataset dataset;
   Rows x;
-  std::vector<double> y;
 };
 
 FitInput MakeFitInput(const FitShape& shape) {
   Dataset ds = BenchDataset(shape.rows, shape.features);
-  return {ds.features.ToRows(), ds.labels};
+  Rows x = ds.features.ToRows();
+  return {std::move(ds), std::move(x)};
 }
 
 void FitOnce(const FitShape& shape, const FitInput& input) {
-  if (shape.trees > 0) {
+  const std::vector<double>& y = input.dataset.labels;
+  if (shape.folds > 0) {
+    EvaluatorConfig ec;
+    ec.folds = shape.folds;
+    ec.forest_trees = shape.trees;
+    benchmark::DoNotOptimize(Evaluator(ec).Evaluate(input.dataset));
+  } else if (shape.trees > 0) {
     ForestConfig fc;
     fc.num_trees = shape.trees;
     RandomForest forest(fc);
-    forest.Fit(input.x, input.y);
+    forest.Fit(input.x, y);
     benchmark::DoNotOptimize(forest);
   } else {
     GradientBoosting boosting;
-    boosting.Fit(input.x, input.y);
+    boosting.Fit(input.x, y);
     benchmark::DoNotOptimize(boosting);
   }
 }
@@ -302,12 +346,15 @@ void ForestLedger() {
     const double median = bench::Quantile(per_fit_ms, 0.5);
     const double q1 = bench::Quantile(per_fit_ms, 0.25);
     const double q3 = bench::Quantile(per_fit_ms, 0.75);
-    std::printf("%-20s %4d x %2d  trees %2d   median %8.3f ms   IQR %.3f ms\n",
-                shape.name, shape.rows, shape.features, shape.trees, median,
-                q3 - q1);
+    std::printf(
+        "%-20s %4d x %2d  trees %2d  folds %d   median %8.3f ms   IQR %.3f "
+        "ms\n",
+        shape.name, shape.rows, shape.features, shape.trees, shape.folds,
+        median, q3 - q1);
     json << (first ? "" : ",\n") << "      \"" << shape.name << "\": {"
          << "\"rows\": " << shape.rows << ", \"features\": " << shape.features
-         << ", \"trees\": " << shape.trees << ", \"median_ms\": " << median
+         << ", \"trees\": " << shape.trees << ", \"folds\": " << shape.folds
+         << ", \"median_ms\": " << median
          << ", \"q1_ms\": " << q1 << ", \"q3_ms\": " << q3
          << ", \"iqr_ms\": " << q3 - q1 << "}";
     first = false;

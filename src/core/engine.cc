@@ -18,6 +18,7 @@
 #include "common/stats.h"
 #include "common/trace.h"
 #include "core/checkpoint.h"
+#include "core/evaluation_memo.h"
 #include "core/mutual_information.h"
 #include "core/state.h"
 
@@ -270,6 +271,9 @@ struct RunContext {
   // the configured cadence and by Finish() when newer than the disk copy.
   std::string last_snapshot;
   bool snapshot_dirty = false;
+  // Each distinct candidate's downstream score (core/evaluation_memo.h).
+  // Not checkpointed: a resumed run refills it with equal scores.
+  EvaluationMemo memo;
 };
 
 // The locals of one Algorithm 2 step, handed from phase to phase. Nothing
@@ -291,6 +295,9 @@ struct StepLocals {
   double reward = 0.0;
   double reward_performance = 0.0;
   double eps_i = 0.0;
+  // The candidate dataset Evaluate built (empty after a memo hit), handed to
+  // Reward for best_dataset.
+  std::optional<Dataset> candidate;
   obs::RecordEvent rev;  // step provenance, filled as the step computes
 };
 
@@ -562,9 +569,10 @@ bool Evaluate(RunContext& ctx, EngineState& s, StepLocals& st,
   // One guarded evaluation: the evaluator fans the candidate's folds out
   // across the shared pool (bit-identical to serial — every fold's seed is
   // fixed), while the fault point and every health-ladder decision run on
-  // this thread.
-  Dataset candidate = ctx.space.ToDataset();
-  double measured = ctx.evaluator.Evaluate(candidate);
+  // this thread. A candidate this run already scored takes its memoized
+  // score and still passes the fault point, the ladder and the deadline
+  // check, and still counts as a downstream evaluation.
+  double measured = ctx.memo.Score(ctx.space, ctx.evaluator, &st.candidate);
   ++s.result.downstream_evaluations;
   if (FASTFT_FAULT_POINT("evaluator/evaluate")) measured = kNaN;
   // The deadline fired inside the evaluation: `measured` may cover only some
@@ -614,8 +622,10 @@ double Reward(const RunContext& ctx, EngineState& s, StepLocals& st,
   st.t.performance = st.v;
   if (st.run_downstream && st.v > s.result.best_score) {
     s.result.best_score = st.v;
-    s.result.best_dataset = ctx.space.ToDataset();
+    s.result.best_dataset =
+        st.candidate ? std::move(*st.candidate) : ctx.space.ToDataset();
   }
+  st.candidate.reset();
   return st.v;
 }
 
@@ -886,8 +896,9 @@ void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
 // End of run: put the newest boundary state on disk — whether the run
 // completed (so it can be resumed with a longer horizon) or was interrupted
 // mid-episode (so resume replays from the last boundary) — and close the
-// result with the run's counted work: its evaluator's counts, then the
-// process-wide registry's delta over the run (pool counters, histograms).
+// result with the run's counted work: its evaluator's counts and memo hits,
+// then the process-wide registry's delta over the run (pool counters,
+// histograms).
 void Finish(RunContext& ctx, EngineState& s, bool interrupted,
             const obs::MetricsSnapshot& registry_start) {
   if (ctx.snapshot_dirty) WriteSnapshot(ctx, s);
@@ -900,6 +911,7 @@ void Finish(RunContext& ctx, EngineState& s, bool interrupted,
   const Evaluator& evaluator = ctx.evaluator;
   const std::pair<const char*, int64_t> counted[] = {
       {"evaluator.evaluations", evaluator.evaluation_count()},
+      {"evaluator.memo_hits", ctx.memo.hits()},
       {"evaluator.folds", evaluator.fold_count()},
       {"evaluator.folds_skipped", evaluator.skipped_fold_count()},
       {"forest.trees_fit", evaluator.trees_fit()}};

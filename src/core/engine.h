@@ -201,6 +201,8 @@ struct EngineResult {
   std::vector<double> episode_best;
   /// Wall-clock phase split (Table II), summed from the phase spans.
   PhaseTimes times;
+  /// Downstream evaluations the run asked for (Table II's count), the
+  /// baseline and memo hits included.
   int64_t downstream_evaluations = 0;
   int64_t predictor_estimations = 0;
   /// Combined prefix-state cache counters of the estimation networks
@@ -211,10 +213,13 @@ struct EngineResult {
   /// the run (all zero on a healthy run).
   HealthReport health;
   /// Counted work of this run, from its own Evaluator: evaluator.evaluations,
-  /// evaluator.folds, evaluator.folds_skipped and forest.trees_fit (zero
-  /// counts left out). Then the delta of the process-wide registry over the
-  /// run: pool.tasks and the pool histograms, which overlapping runs share.
-  /// Not checkpointed: a resumed run counts only its own work.
+  /// evaluator.folds, evaluator.folds_skipped and forest.trees_fit, which
+  /// count real fits, and evaluator.memo_hits, the downstream evaluations
+  /// answered from the run's memo (evaluations + memo_hits ==
+  /// downstream_evaluations; zero counts left out). Then the delta of the
+  /// process-wide registry over the run: pool.tasks and the pool
+  /// histograms, which overlapping runs share. Not checkpointed: a resumed
+  /// run counts only its own work.
   obs::MetricsSnapshot metrics;
   /// True when the run stopped early on the wall-clock budget or the
   /// cancel flag; the result is then a valid partial report covering

@@ -33,26 +33,6 @@ std::vector<std::vector<int>> GroupedIndices(const Dataset& dataset,
 
 }  // namespace
 
-TrainTestIndices TrainTestSplit(const Dataset& dataset, double test_fraction,
-                                uint64_t seed) {
-  FASTFT_CHECK(test_fraction > 0.0 && test_fraction < 1.0);
-  Rng rng(seed);
-  TrainTestIndices out;
-  for (const std::vector<int>& group : GroupedIndices(dataset, &rng)) {
-    int n_test = std::max(
-        1, static_cast<int>(test_fraction * static_cast<double>(group.size())));
-    if (n_test >= static_cast<int>(group.size()) && group.size() > 1) {
-      n_test = static_cast<int>(group.size()) - 1;
-    }
-    for (size_t i = 0; i < group.size(); ++i) {
-      (static_cast<int>(i) < n_test ? out.test : out.train).push_back(group[i]);
-    }
-  }
-  std::sort(out.train.begin(), out.train.end());
-  std::sort(out.test.begin(), out.test.end());
-  return out;
-}
-
 std::vector<TrainTestIndices> KFoldSplit(const Dataset& dataset, int folds,
                                          uint64_t seed) {
   FASTFT_CHECK_GE(folds, 2);

@@ -1,4 +1,4 @@
-// Train/test splitting and k-fold cross-validation index generation.
+// K-fold cross-validation index generation and split materialization.
 
 #pragma once
 
@@ -14,14 +14,9 @@ struct TrainTestIndices {
   std::vector<int> test;
 };
 
-/// Random split with `test_fraction` of rows in the test set. For
-/// classification/detection the split is stratified per class so small
-/// classes appear on both sides.
-TrainTestIndices TrainTestSplit(const Dataset& dataset, double test_fraction,
-                                uint64_t seed);
-
 /// K-fold partition; fold k of the result is the test block of split k.
-/// Stratified for classification/detection tasks.
+/// Stratified for classification/detection tasks. Each split's train and
+/// test rows are ascending (the evaluator's presort views rely on it).
 std::vector<TrainTestIndices> KFoldSplit(const Dataset& dataset, int folds,
                                          uint64_t seed);
 

@@ -55,13 +55,66 @@ PresortedData::PresortedData(const Rows& x, const std::vector<double>& y)
   FASTFT_CHECK(!x.empty());
   FASTFT_CHECK_EQ(x.size(), y.size());
   const size_t n = x.size();
-  const size_t cells = n * static_cast<size_t>(num_features_);
-  columns_.resize(cells);
-  order_.resize(cells);
+  columns_.resize(n * static_cast<size_t>(num_features_));
   for (size_t r = 0; r < n; ++r) {
     FASTFT_CHECK_EQ(x[r].size(), static_cast<size_t>(num_features_));
     for (int f = 0; f < num_features_; ++f) columns_[f * n + r] = x[r][f];
   }
+  SortColumns();
+}
+
+PresortedData::PresortedData(const DataFrame& x, const std::vector<double>& y)
+    : num_rows_(x.NumRows()), num_features_(x.NumCols()), labels_(y) {
+  FASTFT_CHECK_EQ(static_cast<size_t>(num_rows_), y.size());
+  const size_t n = static_cast<size_t>(num_rows_);
+  columns_.resize(n * static_cast<size_t>(num_features_));
+  for (int f = 0; f < num_features_; ++f) {
+    const std::vector<double>& col = x.Col(f);
+    std::copy(col.begin(), col.end(), columns_.begin() + f * n);
+  }
+  SortColumns();
+}
+
+PresortedData::PresortedData(const PresortedData& full,
+                             const std::vector<int>& rows)
+    : num_rows_(static_cast<int>(rows.size())),
+      num_features_(full.num_features_) {
+  const size_t n = full.num_rows_;
+  const size_t m = rows.size();
+  // Local index of each full row, -1 when the row is not in the view.
+  std::vector<int> local(n, -1);
+  for (size_t i = 0; i < m; ++i) {
+    const int row = rows[i];
+    FASTFT_CHECK(row >= 0 && static_cast<size_t>(row) < n)
+        << "view row " << row << " out of range";
+    FASTFT_CHECK(i == 0 || rows[i - 1] < row)
+        << "view rows must be strictly ascending";
+    local[row] = static_cast<int>(i);
+  }
+  labels_.resize(m);
+  for (size_t i = 0; i < m; ++i) labels_[i] = full.labels_[rows[i]];
+  // Filtering is branch-free: every full row's local index is written and
+  // the cursor advances only for rows in the view. A feature's overhang
+  // lands in the next feature's list before that list is written, or in
+  // one slot of slack dropped at the end.
+  columns_.resize(m * static_cast<size_t>(num_features_));
+  order_.resize(m * static_cast<size_t>(num_features_) + 1);
+  for (int f = 0; f < num_features_; ++f) {
+    const double* from = &full.columns_[f * n];
+    double* column = &columns_[f * m];
+    for (size_t i = 0; i < m; ++i) column[i] = from[rows[i]];
+    const int* full_order = &full.order_[f * n];
+    int* out = &order_[f * m];
+    for (size_t i = 0; i < n; ++i) {
+      const int j = local[full_order[i]];
+      *out = j;
+      out += j >= 0;
+    }
+  }
+  order_.pop_back();
+}
+
+void PresortedData::SortColumns() {
   // Ties in value sort by label, so a node's scan visits (value, label)
   // pairs in exactly the order a per-node sort of those pairs would. Sorting
   // on value alone and then ordering each (usually single-row) run of equal
@@ -70,6 +123,9 @@ PresortedData::PresortedData(const Rows& x, const std::vector<double>& y)
     double value;
     int row;
   };
+  const size_t n = static_cast<size_t>(num_rows_);
+  const std::vector<double>& y = labels_;
+  order_.resize(n * static_cast<size_t>(num_features_));
   std::vector<Key> keys(n);
   auto by_label = [&y](const Key& a, const Key& b) {
     return y[a.row] != y[b.row] ? y[a.row] < y[b.row] : a.row < b.row;

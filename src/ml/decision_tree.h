@@ -7,12 +7,15 @@
 // Split search never sorts at a node: every feature is sorted once per
 // training set (PresortedData), and each node is a segment of per-feature
 // instance lists that splits stably partition (DESIGN.md, "Tree fitting").
+// A k-fold evaluation sorts once for all its folds: each fold's training
+// set is a view of the full presort.
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "data/dataframe.h"
 #include "ml/model.h"
 
 namespace fastft {
@@ -29,12 +32,33 @@ struct TreeConfig {
 /// A training set transposed into columns, with every feature sorted once by
 /// (value, label, row). Immutable after construction: a forest builds one and
 /// every tree — on any pool thread — fits from it concurrently.
+///
+/// The evaluator sorts a dataset once per Evaluate and fits each fold from a
+/// view of that one presort (DESIGN.md, "Tree fitting"): the view of
+/// ascending rows is the presort of those rows, bit for bit.
 class PresortedData {
  public:
   PresortedData(const Rows& x, const std::vector<double>& y);
+  /// The same data read column-major from `x` (no row copy).
+  PresortedData(const DataFrame& x, const std::vector<double>& y);
+  /// The rows `rows` of `full`, which must be strictly ascending. Each
+  /// feature's order is `full`'s order filtered to those rows: the row→local
+  /// map is increasing, so the (value, label, row) order survives, and the
+  /// view equals a presort built on those rows bit for bit.
+  PresortedData(const PresortedData& full, const std::vector<int>& rows);
+
+  int num_rows() const { return num_rows_; }
+  int num_features() const { return num_features_; }
+  const std::vector<double>& labels() const { return labels_; }
+  /// Feature-major storage, exposed for exactness tests.
+  const std::vector<double>& columns() const { return columns_; }
+  const std::vector<int>& order() const { return order_; }
 
  private:
   friend class DecisionTree;
+
+  /// Sorts every feature of the filled columns_ by (value, label, row).
+  void SortColumns();
 
   int num_rows_;
   int num_features_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -100,12 +101,40 @@ double Evaluator::Evaluate(const Dataset& dataset) const {
   return Evaluate(dataset, DefaultMetric(dataset.task));
 }
 
+namespace {
+
+/// The rows `rows` of `frame`, row-major, for model fitting and prediction.
+Rows RowsOf(const DataFrame& frame, const std::vector<int>& rows) {
+  Rows out(rows.size(), std::vector<double>(frame.NumCols()));
+  for (int c = 0; c < frame.NumCols(); ++c) {
+    const std::vector<double>& col = frame.Col(c);
+    for (size_t i = 0; i < rows.size(); ++i) out[i][c] = col[rows[i]];
+  }
+  return out;
+}
+
+std::vector<double> LabelsOf(const Dataset& dataset,
+                             const std::vector<int>& rows) {
+  std::vector<double> out;
+  out.reserve(rows.size());
+  for (int r : rows) out.push_back(dataset.labels[r]);
+  return out;
+}
+
+}  // namespace
+
 double Evaluator::Evaluate(const Dataset& dataset, Metric metric) const {
   FASTFT_TRACE_SPAN("evaluator/evaluate");
   FASTFT_CHECK(dataset.Validate().ok()) << dataset.Validate().ToString();
   evaluation_count_.fetch_add(1, std::memory_order_relaxed);
   std::vector<TrainTestIndices> folds =
       KFoldSplit(dataset, config_.folds, config_.seed);
+  // A forest fits each fold from a view of one presort of the whole dataset
+  // (KFoldSplit's train rows are ascending, so the view is exactly the
+  // fold's own presort); other models fit on a row copy of the fold.
+  const bool forest = config_.model == ModelKind::kRandomForest;
+  std::optional<PresortedData> presorted;
+  if (forest) presorted.emplace(dataset.features, dataset.labels);
   // Folds are independent: each derives its own model seed from (seed, k),
   // so they can be scored concurrently and still reproduce the serial run
   // bit for bit — the reduction below always sums in fold order.
@@ -117,14 +146,14 @@ double Evaluator::Evaluate(const Dataset& dataset, Metric metric) const {
     // fold_used[k] == 0, so the reduction yields NaN and the caller (which
     // must re-check the deadline) discards the score.
     if (config_.deadline != nullptr && config_.deadline->Expired()) return;
-    TrainTestData data = MaterializeSplit(dataset, folds[k]);
-    if (data.train.NumRows() < 2 || data.test.NumRows() < 1) {
+    const TrainTestIndices& fold = folds[k];
+    if (fold.train.size() < 2 || fold.test.empty()) {
       skipped_fold_count_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     fold_count_.fetch_add(1, std::memory_order_relaxed);
     // RandomForest::Fit fits exactly num_trees trees.
-    if (config_.model == ModelKind::kRandomForest) {
+    if (forest) {
       trees_fit_.fetch_add(config_.forest_trees, std::memory_order_relaxed);
     }
     std::unique_ptr<Model> model =
@@ -132,13 +161,19 @@ double Evaluator::Evaluate(const Dataset& dataset, Metric metric) const {
                   DeriveSeed(config_.seed, static_cast<uint64_t>(k) + 1),
                   config_.forest_trees, config_.forest_depth,
                   config_.forest_threads);
-    Rows train_rows = data.train.features.ToRows();
-    model->Fit(train_rows, data.train.labels);
-    Rows test_rows = data.test.features.ToRows();
+    if (forest) {
+      // MakeModel builds a RandomForest for kRandomForest.
+      static_cast<RandomForest&>(*model).Fit(
+          PresortedData(*presorted, fold.train));
+    } else {
+      model->Fit(RowsOf(dataset.features, fold.train),
+                 LabelsOf(dataset, fold.train));
+    }
+    Rows test_rows = RowsOf(dataset.features, fold.test);
     std::vector<double> pred = metric == Metric::kAuc
                                    ? model->PredictScore(test_rows)
                                    : model->Predict(test_rows);
-    fold_score[k] = ComputeMetric(metric, data.test.labels, pred);
+    fold_score[k] = ComputeMetric(metric, LabelsOf(dataset, fold.test), pred);
     fold_used[k] = 1;
   };
   common::ParallelFor(0, static_cast<int64_t>(folds.size()),
@@ -188,7 +223,7 @@ std::vector<double> Evaluator::FeatureImportance(
   fc.num_threads = config_.forest_threads;
   fc.seed = config_.seed;
   RandomForest forest(fc);
-  forest.Fit(dataset.features.ToRows(), dataset.labels);
+  forest.Fit(PresortedData(dataset.features, dataset.labels));
   return forest.FeatureImportance();
 }
 

@@ -72,6 +72,11 @@ class Evaluator {
   /// Returns NaN when every fold was skipped (train < 2 or test < 1 rows):
   /// a degenerate input must stay distinguishable from a legitimate zero
   /// score. Callers on the reward path check std::isfinite.
+  ///
+  /// A random forest sorts the dataset's columns once per call and fits
+  /// each fold from a view of that presort (PresortedData): no fold copies
+  /// its training rows or sorts them, and the score is bit-identical to
+  /// fitting on the fold's own rows. Other models fit on a row copy.
   double Evaluate(const Dataset& dataset) const;
 
   /// Cross-validated score with an explicit metric (NaN when every fold was
@@ -85,7 +90,8 @@ class Evaluator {
   std::vector<double> EvaluateBatch(
       const std::vector<const Dataset*>& datasets) const;
 
-  /// Impurity feature importances from a random forest fit on all rows.
+  /// Impurity feature importances from a random forest fit on all rows,
+  /// presorted straight from the dataset's columns.
   std::vector<double> FeatureImportance(const Dataset& dataset) const;
 
   /// Work done by Evaluate since construction. Each count is a relaxed

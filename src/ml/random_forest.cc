@@ -11,9 +11,12 @@
 namespace fastft {
 
 void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
-  FASTFT_CHECK(!x.empty());
-  FASTFT_CHECK_EQ(x.size(), y.size());
-  num_features_ = static_cast<int>(x[0].size());
+  Fit(PresortedData(x, y));
+}
+
+void RandomForest::Fit(const PresortedData& data) {
+  const std::vector<double>& y = data.labels();
+  num_features_ = data.num_features();
   if (config_.regression) {
     num_classes_ = 0;
   } else {
@@ -29,15 +32,14 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
   }
 
   Rng rng(config_.seed);
-  const int n = static_cast<int>(x.size());
+  const int n = data.num_rows();
   const int boot_n =
       std::max(1, static_cast<int>(config_.bootstrap_fraction * n));
 
-  // Sort every feature once; each tree then fits from this shared, read-only
-  // view through its bootstrap's row indices. Bootstraps are drawn serially
-  // (identical draws for any thread count), then trees fit — in parallel
-  // when configured.
-  const PresortedData data(x, y);
+  // Every feature is sorted once (in `data`); each tree then fits from this
+  // shared, read-only view through its bootstrap's row indices. Bootstraps
+  // are drawn serially (identical draws for any thread count), then trees
+  // fit — in parallel when configured.
   std::vector<std::vector<int>> samples(config_.num_trees);
   for (std::vector<int>& sample : samples) {
     sample.reserve(boot_n + 1);

@@ -33,7 +33,11 @@ class RandomForest : public Model {
  public:
   explicit RandomForest(ForestConfig config = {}) : config_(config) {}
 
+  /// Presorts (x, y) and fits from it.
   void Fit(const Rows& x, const std::vector<double>& y) override;
+  /// Fits on a presorted training set — a full presort, or a fold's view of
+  /// one (the evaluator's path, which never copies a fold's rows).
+  void Fit(const PresortedData& data);
   std::vector<double> Predict(const Rows& x) const override;
   std::vector<double> PredictScore(const Rows& x) const override;
 

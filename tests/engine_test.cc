@@ -2,18 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/fault.h"
 #include "common/fs.h"
+#include "common/rng.h"
 #include "common/serial.h"
 #include "common/trace.h"
 #include "core/engine.h"
+#include "core/evaluation_memo.h"
+#include "core/feature_space.h"
 #include "core/run_report.h"
 #include "data/dataset_zoo.h"
 #include "data/synthetic.h"
@@ -503,6 +509,130 @@ TEST(EngineGoldenTest, RunDigestsArePinned) {
     EXPECT_EQ(metrics, 0x04dc0c76a351dc3bull)
         << "Fig. 14 columns " << Hex(metrics);
   }
+}
+
+// --- Downstream-evaluation memo ----------------------------------------------
+
+// FASTFT^-PP at the engine's smallest feature budget (originals + 16), the
+// shape of the eval_bound benchmark: every generating step is evaluated,
+// and the full budget evicts whole steps' columns, so sets repeat.
+EngineConfig EvalBoundConfig() {
+  EngineConfig cfg;
+  cfg.use_performance_predictor = false;
+  cfg.feature_space.max_features = 0;
+  cfg.episodes = 4;
+  cfg.steps_per_episode = 6;
+  cfg.cold_start_episodes = 2;
+  cfg.cold_start_train_epochs = 4;
+  cfg.evaluator.folds = 2;
+  cfg.evaluator.forest_trees = 4;
+  cfg.seed = 99;
+  return cfg;
+}
+
+Dataset EvalBoundDataset() {
+  SyntheticSpec spec;
+  spec.samples = 140;
+  spec.features = 8;
+  spec.seed = 50;
+  return MakeClassification(spec);
+}
+
+TEST(EvaluationMemoTest, EvalBoundRunAnswersRepeatsFromTheMemo) {
+  const Dataset ds = EvalBoundDataset();
+  EngineResult r = FastFtEngine(EvalBoundConfig()).Run(ds).ValueOrDie();
+  const int64_t hits = r.metrics.CounterValue("evaluator.memo_hits");
+  EXPECT_GT(hits, 0);
+  // A hit is a downstream evaluation (Table II's count) without a fit.
+  EXPECT_EQ(r.metrics.CounterValue("evaluator.evaluations") + hits,
+            r.downstream_evaluations);
+  // Pinned before the memo existed: it changes no output.
+  const uint64_t digest = Fnv1a(StableReport(ds, r));
+  EXPECT_EQ(digest, 0x25d9c2d34241cabdull) << Hex(digest);
+}
+
+TEST(EvaluationMemoTest, HitsStillPassTheEvaluatorFaultPoint) {
+  ScopedFaultInjection inject(4, {{"evaluator/evaluate", 1.0}});
+  const Dataset ds = EvalBoundDataset();
+  EngineResult r = FastFtEngine(EvalBoundConfig()).Run(ds).ValueOrDie();
+  EXPECT_GT(r.metrics.CounterValue("evaluator.memo_hits"), 0);
+  // Every downstream evaluation but the baseline's faulted, hits included.
+  EXPECT_EQ(r.health.evaluator_faults, r.downstream_evaluations - 1);
+  const uint64_t digest = Fnv1a(StableReport(ds, r));
+  EXPECT_EQ(digest, 0xa649641e9184e5b6ull) << Hex(digest);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(EvaluationMemoTest, KeyFollowsColumnOrder) {
+  const Dataset ds = EvalBoundDataset();
+  // The same two generated columns, added in opposite orders.
+  auto space = [&ds](int first, int second) {
+    FeatureSpace out(ds);
+    Rng rng(1);
+    EXPECT_EQ(out.ApplyOperation(OpType::kSquare, {first}, {}, &rng), 1);
+    EXPECT_EQ(out.ApplyOperation(OpType::kSquare, {second}, {}, &rng), 1);
+    return out;
+  };
+  const FeatureSpace ab = space(0, 1);
+  const FeatureSpace ba = space(1, 0);
+  EvaluatorConfig ec;
+  ec.folds = 3;
+  ec.forest_trees = 6;
+  const Evaluator evaluator(ec);
+  EvaluationMemo memo;
+  std::optional<Dataset> candidate;
+  const double ab_score = memo.Score(ab, evaluator, &candidate);
+  ASSERT_TRUE(candidate.has_value());
+  candidate.reset();
+  const double ba_score = memo.Score(ba, evaluator, &candidate);
+  ASSERT_TRUE(candidate.has_value());
+  EXPECT_EQ(memo.hits(), 0);
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(Bits(ba_score), Bits(evaluator.Evaluate(ba.ToDataset())));
+
+  // The same set built again is a hit with the same bits, and no dataset
+  // is built for it.
+  candidate.reset();
+  EXPECT_EQ(Bits(memo.Score(space(0, 1), evaluator, &candidate)),
+            Bits(ab_score));
+  EXPECT_FALSE(candidate.has_value());
+  EXPECT_EQ(memo.hits(), 1);
+}
+
+TEST(EvaluationMemoTest, StoresNaNButNotScoresPastTheDeadline) {
+  const Dataset ds = EvalBoundDataset();
+  const FeatureSpace space(ds);
+  std::optional<Dataset> candidate;
+
+  // Every fold skipped on an expired deadline: not deterministic, so not
+  // stored.
+  common::DeadlineToken deadline;
+  deadline.Cancel();
+  EvaluatorConfig late;
+  late.deadline = &deadline;
+  EvaluationMemo memo;
+  EXPECT_TRUE(std::isnan(memo.Score(space, Evaluator(late), &candidate)));
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_TRUE(std::isnan(memo.Score(space, Evaluator(late), &candidate)));
+  EXPECT_EQ(memo.hits(), 0);
+
+  // A NaN from an input too small for its folds (two rows, two folds: one
+  // training row each) is the score: stored.
+  Dataset tiny;
+  tiny.name = "tiny";
+  ASSERT_TRUE(tiny.features.AddColumn("a", {0.25, 0.75}).ok());
+  ASSERT_TRUE(tiny.features.AddColumn("b", {1.0, -1.0}).ok());
+  tiny.labels = {0, 1};
+  const FeatureSpace tiny_space(tiny);
+  EvaluatorConfig two_folds;
+  two_folds.folds = 2;
+  const Evaluator degenerate(two_folds);
+  EvaluationMemo nan_memo;
+  EXPECT_TRUE(std::isnan(nan_memo.Score(tiny_space, degenerate, &candidate)));
+  EXPECT_EQ(nan_memo.size(), 1u);
+  EXPECT_TRUE(std::isnan(nan_memo.Score(tiny_space, degenerate, &candidate)));
+  EXPECT_EQ(nan_memo.hits(), 1);
 }
 
 TEST(EngineTest, RlFrameworkNames) {

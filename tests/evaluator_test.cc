@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "data/synthetic.h"
 #include "ml/evaluator.h"
@@ -116,6 +119,111 @@ TEST(EvaluatorTest, ReturnsNaNWhenEveryFoldIsSkipped) {
 TEST(EvaluatorTest, NormalScoresStayFinite) {
   Evaluator evaluator;
   EXPECT_TRUE(std::isfinite(evaluator.Evaluate(Classification())));
+}
+
+// --- Pinned scores -----------------------------------------------------------
+//
+// Exact IEEE-754 bits of Evaluate on inputs that reach every branch of the
+// fold loop: 2- and 3-class, regression and detection labels, an explicit
+// AUC metric, discrete columns with many ties and mixed ±0.0, pool fan-out
+// of folds and trees, partially skipped folds, and the non-forest path.
+// Any change to how a fold's training data reaches the model that moves a
+// single bit fails here.
+
+std::string Hex(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(v)));
+  return buffer;
+}
+
+#define EXPECT_BITS(expected, actual)                                     \
+  EXPECT_EQ(Hex(std::bit_cast<double>(uint64_t{expected})), Hex(actual)) \
+      << #actual
+
+/// Standard-normal-ish columns rounded to integers: a handful of distinct
+/// values per column, and every zero at an odd row stored as -0.0.
+Dataset Discretized() {
+  SyntheticSpec spec;
+  spec.samples = 240;
+  spec.features = 6;
+  spec.classes = 3;
+  spec.seed = 23;
+  Dataset ds = MakeClassification(spec);
+  for (int c = 0; c < ds.NumFeatures(); ++c) {
+    std::vector<double>& col = ds.features.MutableCol(c);
+    for (size_t r = 0; r < col.size(); ++r) {
+      col[r] = std::round(col[r]);
+      if (col[r] == 0.0) col[r] = r % 2 == 1 ? -0.0 : 0.0;
+    }
+  }
+  return ds;
+}
+
+EvaluatorConfig PinConfig(int folds, int trees, uint64_t seed) {
+  EvaluatorConfig ec;
+  ec.folds = folds;
+  ec.forest_trees = trees;
+  ec.seed = seed;
+  return ec;
+}
+
+TEST(EvaluatorTest, ForestScoresUnchanged) {
+  SyntheticSpec spec;
+  spec.samples = 300;
+  spec.features = 10;
+  spec.seed = 11;
+  const Dataset binary = MakeClassification(spec);
+  const Evaluator forest(PinConfig(3, 8, 5));
+  EXPECT_BITS(0x3fe7a732a5c730b0, forest.Evaluate(binary));
+  EXPECT_BITS(0x3fea1d97f54642d3, forest.Evaluate(binary, Metric::kAuc));
+
+  // Folds and trees on the pool: the same bits.
+  EvaluatorConfig pooled = PinConfig(3, 8, 5);
+  pooled.num_threads = 3;
+  pooled.forest_threads = 2;
+  EXPECT_BITS(0x3fe7a732a5c730b0, Evaluator(pooled).Evaluate(binary));
+
+  spec.samples = 240;
+  spec.features = 7;
+  spec.classes = 3;
+  spec.seed = 12;
+  EXPECT_BITS(0x3fe53519b878e272,
+              Evaluator(PinConfig(5, 6, 6)).Evaluate(MakeClassification(spec)));
+
+  spec.samples = 200;
+  spec.features = 9;
+  spec.seed = 13;
+  EXPECT_BITS(0x3fc76e634004bb49,
+              Evaluator(PinConfig(4, 10, 7)).Evaluate(MakeRegression(spec)));
+
+  spec.samples = 300;
+  spec.features = 8;
+  spec.anomaly_rate = 0.15;
+  spec.seed = 14;
+  EXPECT_BITS(0x3fe871ede124118b,
+              Evaluator(PinConfig(3, 8, 8)).Evaluate(MakeDetection(spec)));
+
+  const Dataset discrete = Discretized();
+  EXPECT_BITS(0x3fe276dfebf04095,
+              Evaluator(PinConfig(4, 12, 9)).Evaluate(discrete));
+
+  // Five folds over three rows: the last two folds have no test row and are
+  // skipped; the other three fit on two rows each.
+  Dataset tiny;
+  tiny.name = "tiny3";
+  ASSERT_TRUE(tiny.features.AddColumn("a", {0.5, -0.0, 2.0}).ok());
+  ASSERT_TRUE(tiny.features.AddColumn("b", {1.0, 1.0, -3.0}).ok());
+  tiny.labels = {0, 1, 0};
+  EXPECT_BITS(0x3fd5555555555555,
+              Evaluator(PinConfig(5, 4, 10)).Evaluate(tiny));
+
+  // The non-forest path.
+  EvaluatorConfig linear = PinConfig(3, 8, 5);
+  linear.model = ModelKind::kLogisticRegression;
+  EXPECT_BITS(0x3fe78e5e2e8ab99f, Evaluator(linear).Evaluate(binary));
+  linear.model = ModelKind::kKnn;
+  EXPECT_BITS(0x3fe427c75e710daa, Evaluator(linear).Evaluate(discrete));
 }
 
 class ModelKindTest : public testing::TestWithParam<ModelKind> {};

@@ -1,4 +1,4 @@
-// Tests for train/test splitting and k-fold generation.
+// Tests for k-fold generation and split materialization.
 
 #include <gtest/gtest.h>
 
@@ -20,42 +20,35 @@ Dataset SmallClassification() {
   return MakeClassification(spec);
 }
 
-TEST(SplitTest, PartitionIsDisjointAndComplete) {
-  Dataset ds = SmallClassification();
-  TrainTestIndices split = TrainTestSplit(ds, 0.25, 42);
-  std::set<int> all(split.train.begin(), split.train.end());
-  for (int t : split.test) {
-    EXPECT_EQ(all.count(t), 0u);
-    all.insert(t);
-  }
-  EXPECT_EQ(static_cast<int>(all.size()), ds.NumRows());
-}
-
 TEST(SplitTest, TestFractionApproximate) {
   Dataset ds = SmallClassification();
-  TrainTestIndices split = TrainTestSplit(ds, 0.2, 42);
-  EXPECT_NEAR(static_cast<double>(split.test.size()) / ds.NumRows(), 0.2,
-              0.08);
+  for (const TrainTestIndices& fold : KFoldSplit(ds, 5, 42)) {
+    EXPECT_NEAR(static_cast<double>(fold.test.size()) / ds.NumRows(), 0.2,
+                0.03);
+  }
 }
 
 TEST(SplitTest, StratificationKeepsAllClassesInTrain) {
   Dataset ds = SmallClassification();
-  TrainTestIndices split = TrainTestSplit(ds, 0.3, 7);
-  std::set<int> train_classes, test_classes;
-  for (int i : split.train) train_classes.insert((int)ds.labels[i]);
-  for (int i : split.test) test_classes.insert((int)ds.labels[i]);
-  EXPECT_EQ(train_classes.size(), 3u);
-  EXPECT_EQ(test_classes.size(), 3u);
+  for (const TrainTestIndices& fold : KFoldSplit(ds, 3, 7)) {
+    std::set<int> train_classes, test_classes;
+    for (int i : fold.train) train_classes.insert((int)ds.labels[i]);
+    for (int i : fold.test) test_classes.insert((int)ds.labels[i]);
+    EXPECT_EQ(train_classes.size(), 3u);
+    EXPECT_EQ(test_classes.size(), 3u);
+  }
 }
 
 TEST(SplitTest, DeterministicGivenSeed) {
   Dataset ds = SmallClassification();
-  TrainTestIndices a = TrainTestSplit(ds, 0.25, 99);
-  TrainTestIndices b = TrainTestSplit(ds, 0.25, 99);
-  EXPECT_EQ(a.train, b.train);
-  EXPECT_EQ(a.test, b.test);
-  TrainTestIndices c = TrainTestSplit(ds, 0.25, 100);
-  EXPECT_NE(a.test, c.test);
+  std::vector<TrainTestIndices> a = KFoldSplit(ds, 4, 99);
+  std::vector<TrainTestIndices> b = KFoldSplit(ds, 4, 99);
+  std::vector<TrainTestIndices> c = KFoldSplit(ds, 4, 100);
+  for (size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].train, b[k].train);
+    EXPECT_EQ(a[k].test, b[k].test);
+  }
+  EXPECT_NE(a[0].test, c[0].test);
 }
 
 class KFoldParamTest : public testing::TestWithParam<int> {};
@@ -84,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(Folds, KFoldParamTest, testing::Values(2, 3, 5, 10));
 
 TEST(SplitTest, MaterializeSplitShapes) {
   Dataset ds = SmallClassification();
-  TrainTestIndices split = TrainTestSplit(ds, 0.25, 3);
+  TrainTestIndices split = KFoldSplit(ds, 4, 3)[1];
   TrainTestData data = MaterializeSplit(ds, split);
   EXPECT_EQ(data.train.NumRows(), static_cast<int>(split.train.size()));
   EXPECT_EQ(data.test.NumRows(), static_cast<int>(split.test.size()));
@@ -94,6 +87,9 @@ TEST(SplitTest, MaterializeSplitShapes) {
   for (size_t i = 0; i < split.test.size(); ++i) {
     EXPECT_DOUBLE_EQ(data.test.labels[i], ds.labels[split.test[i]]);
   }
+  for (size_t i = 0; i < split.train.size(); ++i) {
+    EXPECT_DOUBLE_EQ(data.train.labels[i], ds.labels[split.train[i]]);
+  }
 }
 
 TEST(SplitTest, RegressionSplitWorks) {
@@ -101,9 +97,13 @@ TEST(SplitTest, RegressionSplitWorks) {
   spec.samples = 60;
   spec.features = 4;
   Dataset ds = MakeRegression(spec);
-  TrainTestIndices split = TrainTestSplit(ds, 0.25, 1);
-  EXPECT_GT(split.test.size(), 0u);
-  EXPECT_GT(split.train.size(), split.test.size());
+  for (const TrainTestIndices& fold : KFoldSplit(ds, 4, 1)) {
+    EXPECT_GT(fold.test.size(), 0u);
+    EXPECT_GT(fold.train.size(), fold.test.size());
+    // Train rows come out ascending: the evaluator's presort views rely on
+    // it.
+    EXPECT_TRUE(std::is_sorted(fold.train.begin(), fold.train.end()));
+  }
 }
 
 }  // namespace

@@ -6,10 +6,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "common/rng.h"
+#include "data/split.h"
 #include "data/synthetic.h"
 #include "ml/decision_tree.h"
 #include "ml/evaluator.h"
@@ -292,6 +295,114 @@ TEST(RandomForestTest, MoreThreadsThanTreesClamped) {
   RandomForest forest(fc);
   forest.Fit(x, y);  // must not crash / deadlock
   EXPECT_EQ(forest.Predict(x).size(), x.size());
+}
+
+// --- Presort fold views ------------------------------------------------------
+//
+// The evaluator fits each fold from a view of one full-data presort. The
+// view must equal, byte for byte, a presort built on the fold's rows.
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void ExpectSamePresort(const PresortedData& actual,
+                       const PresortedData& expected) {
+  EXPECT_EQ(actual.num_rows(), expected.num_rows());
+  EXPECT_EQ(actual.num_features(), expected.num_features());
+  EXPECT_TRUE(SameBytes(actual.columns(), expected.columns()));
+  EXPECT_TRUE(SameBytes(actual.order(), expected.order()));
+  EXPECT_TRUE(SameBytes(actual.labels(), expected.labels()));
+}
+
+/// Integer-rounded columns (many ties) whose zeros alternate between +0.0
+/// and -0.0, plus a constant column.
+Dataset TiedDataset(uint64_t seed, int classes) {
+  SyntheticSpec spec;
+  spec.samples = 90;
+  spec.features = 4;
+  spec.classes = classes;
+  spec.seed = seed;
+  Dataset ds = MakeClassification(spec);
+  for (int c = 0; c < ds.NumFeatures(); ++c) {
+    std::vector<double>& col = ds.features.MutableCol(c);
+    for (size_t r = 0; r < col.size(); ++r) {
+      col[r] = std::round(col[r] * (c + 1));
+      if (col[r] == 0.0) col[r] = r % 2 == 1 ? -0.0 : 0.0;
+    }
+  }
+  EXPECT_TRUE(ds.features
+                  .AddColumn("constant",
+                             std::vector<double>(ds.NumRows(), 1.5))
+                  .ok());
+  return ds;
+}
+
+TEST(PresortedDataTest, FoldViewMatchesFreshPresort) {
+  std::vector<Dataset> datasets;
+  for (uint64_t seed : {1, 2}) {
+    SyntheticSpec spec;
+    spec.samples = 110;
+    spec.features = 6;
+    spec.seed = seed;
+    datasets.push_back(MakeClassification(spec));  // 2 classes
+    spec.classes = 3;
+    datasets.push_back(MakeClassification(spec));
+    datasets.push_back(MakeRegression(spec));
+    datasets.push_back(TiedDataset(seed, 2));
+    datasets.push_back(TiedDataset(seed + 10, 3));
+  }
+  for (size_t d = 0; d < datasets.size(); ++d) {
+    SCOPED_TRACE("dataset " + std::to_string(d));
+    const Dataset& ds = datasets[d];
+    const PresortedData full(ds.features, ds.labels);
+    ExpectSamePresort(full, PresortedData(ds.features.ToRows(), ds.labels));
+
+    std::vector<std::vector<int>> subsets;
+    for (int folds : {2, 3, 4, 5}) {
+      for (const TrainTestIndices& fold : KFoldSplit(ds, folds, 17 + d)) {
+        subsets.push_back(fold.train);
+        subsets.push_back(fold.test);
+      }
+    }
+    Rng rng(100 + d);
+    for (int k = 0; k < 6; ++k) {
+      std::vector<int> rows;
+      const double keep = (k + 1) / 7.0;
+      for (int r = 0; r < ds.NumRows(); ++r) {
+        if (rng.Uniform() < keep) rows.push_back(r);
+      }
+      if (rows.empty()) rows.push_back(k);
+      subsets.push_back(rows);
+    }
+    subsets.push_back({ds.NumRows() - 1});
+    std::vector<int> all(ds.NumRows());
+    std::iota(all.begin(), all.end(), 0);
+    subsets.push_back(all);
+
+    for (size_t i = 0; i < subsets.size(); ++i) {
+      SCOPED_TRACE("subset " + std::to_string(i));
+      const std::vector<int>& rows = subsets[i];
+      std::vector<double> labels;
+      for (int r : rows) labels.push_back(ds.labels[r]);
+      ExpectSamePresort(
+          PresortedData(full, rows),
+          PresortedData(ds.features.SelectRows(rows).ToRows(), labels));
+    }
+  }
+}
+
+TEST(PresortedDataDeathTest, FoldViewRejectsUnsortedRows) {
+  SyntheticSpec spec;
+  spec.samples = 20;
+  spec.features = 3;
+  const Dataset ds = MakeClassification(spec);
+  const PresortedData full(ds.features, ds.labels);
+  EXPECT_DEATH(PresortedData(full, {0, 5, 3}), "ascending");
+  EXPECT_DEATH(PresortedData(full, {2, 2}), "ascending");
 }
 
 // --- Golden bits -------------------------------------------------------------
