@@ -17,6 +17,7 @@
 #include "baselines/baseline.h"
 #include "common/fs.h"
 #include "common/simd_kernels.h"
+#include "common/stats.h"
 #include "core/engine.h"
 #include "data/dataset_zoo.h"
 
@@ -105,27 +106,14 @@ inline void PersistLedger(const std::string& file, const std::string& bench,
   }
 }
 
-inline double Mean(const std::vector<double>& v) {
-  double s = 0;
-  for (double x : v) s += x;
-  return v.empty() ? 0.0 : s / static_cast<double>(v.size());
-}
-
+/// Sample standard deviation (divides by n - 1), unlike the population
+/// fastft::StdDev (common/stats.h); 0 for fewer than 2 values.
 inline double StdDev(const std::vector<double>& v) {
   if (v.size() < 2) return 0.0;
   double m = Mean(v);
   double acc = 0;
   for (double x : v) acc += (x - m) * (x - m);
   return std::sqrt(acc / static_cast<double>(v.size() - 1));
-}
-
-/// Linearly interpolated `q`-quantile (0 <= q <= 1) of a non-empty sample.
-inline double Quantile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
 /// Paired t-statistic of (a - b) across datasets.

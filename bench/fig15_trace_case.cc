@@ -63,7 +63,7 @@ int main_impl() {
   // mean + 0.5 std.
   std::vector<double> rewards;
   for (const Step& s : steps) rewards.push_back(s.reward);
-  double mean = bench::Mean(rewards);
+  double mean = Mean(rewards);
   double sd = bench::StdDev(rewards);
   double threshold = mean + 0.5 * sd;
 

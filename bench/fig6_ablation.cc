@@ -49,7 +49,7 @@ int main_impl() {
         cfg.prioritized_replay = variants[v].rct;
         runs.push_back(FastFtEngine(cfg).Run(dataset).ValueOrDie().best_score);
       }
-      scores[v] = bench::Mean(runs);
+      scores[v] = Mean(runs);
       std::printf(" %11.3f", scores[v]);
       std::fflush(stdout);
     }

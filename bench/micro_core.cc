@@ -101,11 +101,11 @@ KernelResult RunKernelGate(const char* name, bool matmul_family, int reps,
     ratio.push_back(seconds[1] > 0.0 ? seconds[0] / seconds[1] : 0.0);
   }
   simd::SetEnabled(true);
-  result.scalar_s = bench::Quantile(scalar_s, 0.5);
-  result.simd_s = bench::Quantile(simd_s, 0.5);
-  result.speedup_q1 = bench::Quantile(ratio, 0.25);
-  result.speedup = bench::Quantile(ratio, 0.5);
-  result.speedup_q3 = bench::Quantile(ratio, 0.75);
+  result.scalar_s = Quantile(scalar_s, 0.5);
+  result.simd_s = Quantile(simd_s, 0.5);
+  result.speedup_q1 = Quantile(ratio, 0.25);
+  result.speedup = Quantile(ratio, 0.5);
+  result.speedup_q3 = Quantile(ratio, 0.75);
   return result;
 }
 
@@ -343,9 +343,9 @@ void ForestLedger() {
       for (int i = 0; i < kFitsPerRep; ++i) FitOnce(shape, input);
       per_fit_ms.push_back(1e3 * timer.Seconds() / kFitsPerRep);
     }
-    const double median = bench::Quantile(per_fit_ms, 0.5);
-    const double q1 = bench::Quantile(per_fit_ms, 0.25);
-    const double q3 = bench::Quantile(per_fit_ms, 0.75);
+    const double median = Quantile(per_fit_ms, 0.5);
+    const double q1 = Quantile(per_fit_ms, 0.25);
+    const double q3 = Quantile(per_fit_ms, 0.75);
     std::printf(
         "%-20s %4d x %2d  trees %2d  folds %d   median %8.3f ms   IQR %.3f "
         "ms\n",
@@ -485,10 +485,10 @@ BENCHMARK(BM_ForestFit)->DenseRange(0, std::size(kFitShapes) - 1)
     ->Unit(benchmark::kMillisecond);
 
 double FirstQuartile(const std::vector<double>& v) {
-  return bench::Quantile(v, 0.25);
+  return Quantile(v, 0.25);
 }
 double ThirdQuartile(const std::vector<double>& v) {
-  return bench::Quantile(v, 0.75);
+  return Quantile(v, 0.75);
 }
 
 // One training step of the predictor's default network (embedding,

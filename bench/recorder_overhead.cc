@@ -8,7 +8,6 @@
 // The run is persisted to BENCH_recorder.json under the perf-ledger
 // envelope so tools/bench_ledger.py can regression-gate the overhead.
 
-#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <limits>
@@ -90,12 +89,7 @@ int Main() {
                        static_cast<double>(c1 - c0));
     }
   }
-  std::sort(ratios.begin(), ratios.end());
-  const double median_ratio =
-      ratios.empty() ? 1.0
-      : ratios.size() % 2 == 1
-          ? ratios[ratios.size() / 2]
-          : 0.5 * (ratios[ratios.size() / 2 - 1] + ratios[ratios.size() / 2]);
+  const double median_ratio = ratios.empty() ? 1.0 : Quantile(ratios, 0.5);
 
   bool identical = true;
   int64_t events_per_run = 0;

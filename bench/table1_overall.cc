@@ -56,7 +56,7 @@ int main_impl() {
                                                    // a much longer schedule
       runs.push_back(FastFtEngine(cfg).Run(dataset).ValueOrDie().best_score);
     }
-    double mean = bench::Mean(runs);
+    double mean = Mean(runs);
     fastft_means.push_back(mean);
     std::printf("  %5.3f ±%.3f\n", mean, bench::StdDev(runs));
     std::fflush(stdout);

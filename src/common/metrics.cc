@@ -169,47 +169,5 @@ MetricsSnapshot DeltaSnapshot(const MetricsSnapshot& start,
   return delta;
 }
 
-MetricsRegistry& MetricsRegistry::Global() {
-  // Leaked on purpose: instrumented subsystems (the shared thread pool's
-  // workers in particular) may still count during static destruction.
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  common::MutexLock lock(&mu_);
-  std::unique_ptr<Counter>& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(
-    const std::string& name, const std::vector<double>& upper_bounds) {
-  common::MutexLock lock(&mu_);
-  std::unique_ptr<Histogram>& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(upper_bounds);
-  return slot.get();
-}
-
-MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MetricsSnapshot snapshot;
-  common::MutexLock lock(&mu_);
-  for (const auto& [name, counter] : counters_) {
-    MetricValue value;
-    value.name = name;
-    value.kind = MetricKind::kCounter;
-    value.counter = counter->Value();
-    snapshot.values.push_back(std::move(value));
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    MetricValue value;
-    value.name = name;
-    value.kind = MetricKind::kHistogram;
-    value.histogram = histogram->Snapshot();
-    snapshot.values.push_back(std::move(value));
-  }
-  return snapshot;
-}
-
 }  // namespace obs
 }  // namespace fastft

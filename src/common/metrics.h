@@ -1,18 +1,16 @@
-// Metrics registry — the fastft::obs counting layer for process-wide state.
+// Metrics — the fastft::obs counting layer.
 //
-// A registry of named counters and fixed-bucket histograms for what the
-// whole process shares: today the shared thread pool (pool.tasks,
-// pool.queue_wait_us, pool.task_run_us). Work that belongs to one engine
-// run is counted by the run itself (its Evaluator), never here, so
-// overlapping runs cannot count each other's work. MetricsSnapshot is also
-// the shape of EngineResult::metrics: the run's own counts followed by the
-// registry's delta over the run, which the run report renders under
-// "runtime".
+// Named counters and fixed-bucket histograms, and the MetricsSnapshot that
+// copies them out. The shared thread pool owns its three (pool.tasks,
+// pool.queue_wait_us, pool.task_run_us; common::PoolMetricsSnapshot). Work
+// that belongs to one engine run is counted by the run itself (its
+// Evaluator), so overlapping runs cannot count each other's work.
+// MetricsSnapshot is also the shape of EngineResult::metrics: the run's own
+// counts followed by the pool's delta over the run, which the run report
+// renders under "runtime".
 //
-// All mutation paths are lock-free atomics, safe to call from pool workers;
-// registration (name -> metric lookup) takes a mutex, so call sites cache
-// the returned pointer (metrics live for the process lifetime — pointers
-// never dangle). Counting never changes any computation.
+// All mutation paths are lock-free atomics, safe to call from pool workers.
+// Counting never changes any computation.
 //
 // Metric naming scheme: "<subsystem>.<metric>[_<unit>]", e.g.
 // "pool.tasks", "pool.queue_wait_us", "evaluator.folds".
@@ -21,12 +19,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "common/thread_annotations.h"
 
 namespace fastft {
 namespace obs {
@@ -82,9 +76,9 @@ struct MetricValue {
   Histogram::Data histogram;
 };
 
-/// Point-in-time (or delta, see DeltaSnapshot) copy of a registry.
+/// Point-in-time (or delta, see DeltaSnapshot) copy of a set of metrics.
 struct MetricsSnapshot {
-  std::vector<MetricValue> values;  // sorted by kind then name
+  std::vector<MetricValue> values;  // counters, then histograms
 
   bool empty() const { return values.empty(); }
   /// First metric named `name`, or nullptr.
@@ -102,32 +96,6 @@ struct MetricsSnapshot {
 /// run's snapshot only lists subsystems it actually touched.
 MetricsSnapshot DeltaSnapshot(const MetricsSnapshot& start,
                               const MetricsSnapshot& end);
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Process-wide registry every built-in subsystem reports into.
-  static MetricsRegistry& Global();
-
-  /// Finds or creates; the returned pointer is stable for the registry's
-  /// lifetime (the Global() registry is never destroyed).
-  Counter* GetCounter(const std::string& name);
-  /// `upper_bounds` only applies on first registration of `name`.
-  Histogram* GetHistogram(const std::string& name,
-                          const std::vector<double>& upper_bounds);
-
-  MetricsSnapshot Snapshot() const;
-
- private:
-  mutable common::Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_
-      FASTFT_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      FASTFT_GUARDED_BY(mu_);
-};
 
 }  // namespace obs
 }  // namespace fastft

@@ -18,6 +18,8 @@ double Mean(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
+namespace {
+
 double Variance(const std::vector<double>& values) {
   if (values.size() < 2) return 0.0;
   double m = Mean(values);
@@ -25,6 +27,8 @@ double Variance(const std::vector<double>& values) {
   for (double v : values) acc += (v - m) * (v - m);
   return acc / static_cast<double>(values.size());
 }
+
+}  // namespace
 
 double StdDev(const std::vector<double>& values) {
   return std::sqrt(Variance(values));

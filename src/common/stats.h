@@ -31,7 +31,7 @@ struct Summary {
 Summary Summarize(const std::vector<double>& values);
 
 double Mean(const std::vector<double>& values);
-double Variance(const std::vector<double>& values);
+/// Population standard deviation (divides by n); 0 for fewer than 2 values.
 double StdDev(const std::vector<double>& values);
 
 /// Interpolated quantile, q in [0,1]. Sorts a copy of `values`.

@@ -22,7 +22,6 @@ enum class StatusCode {
   kOutOfRange,
   kNotFound,
   kIOError,
-  kUnimplemented,
   kInternal,
 };
 
@@ -53,9 +52,6 @@ class [[nodiscard]] Status {
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
@@ -74,7 +70,6 @@ class [[nodiscard]] Status {
       case StatusCode::kOutOfRange: name = "OutOfRange"; break;
       case StatusCode::kNotFound: name = "NotFound"; break;
       case StatusCode::kIOError: name = "IOError"; break;
-      case StatusCode::kUnimplemented: name = "Unimplemented"; break;
       case StatusCode::kInternal: name = "Internal"; break;
     }
     return std::string(name) + ": " + message_;

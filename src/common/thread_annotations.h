@@ -3,8 +3,8 @@
 // The determinism contract (bit-identical scores at any thread count, see
 // DESIGN.md "Concurrency model") rests on a handful of locking disciplines
 // scattered across the concurrent subsystems: the pool's queue/exception
-// state, the obs rings and thread registry, the metrics registry, the
-// encode-cache LRU, the fault injector, and the log sink.
+// state, the obs rings and thread registry, the encode-cache LRU, the
+// fault injector, and the log sink.
 // TSan checks those disciplines dynamically — but only on the interleavings
 // the test inputs happen to produce. These annotations let Clang's
 // -Wthread-safety analysis prove lock discipline at compile time for every

@@ -18,23 +18,17 @@ thread_local bool tls_in_worker = false;
 
 // Queue-wait (enqueue -> dequeue) vs. run time of pool tasks: the scheduling
 // signal a flat per-bucket timer cannot show. Counting only; never alters
-// what a task computes.
+// what a task computes. Leaked on purpose, like the shared pool: its workers
+// may still count during static destruction.
 struct PoolMetrics {
-  obs::Counter* tasks;
-  obs::Histogram* queue_wait_us;
-  obs::Histogram* run_us;
+  obs::Counter tasks;
+  obs::Histogram queue_wait_us{obs::LatencyBucketsUs()};
+  obs::Histogram run_us{obs::LatencyBucketsUs()};
 };
 
-const PoolMetrics& Metrics() {
-  static const PoolMetrics metrics = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    return PoolMetrics{
-        registry.GetCounter("pool.tasks"),
-        registry.GetHistogram("pool.queue_wait_us", obs::LatencyBucketsUs()),
-        registry.GetHistogram("pool.task_run_us", obs::LatencyBucketsUs()),
-    };
-  }();
-  return metrics;
+PoolMetrics& Metrics() {
+  static PoolMetrics* metrics = new PoolMetrics();
+  return *metrics;
 }
 
 }  // namespace
@@ -90,15 +84,15 @@ void ThreadPool::Enqueue(std::function<void()> task) {
   // and neither charges the other's bookkeeping to the task.
   const uint64_t enqueue_ns = obs::internal::NowNs();
   auto instrumented = [task = std::move(task), enqueue_ns] {
-    const PoolMetrics& metrics = Metrics();
+    PoolMetrics& metrics = Metrics();
     const bool traced = obs::TracingActive();
     const uint64_t start_ns = obs::internal::NowNs();
-    metrics.tasks->Increment();
-    metrics.queue_wait_us->Observe(
+    metrics.tasks.Increment();
+    metrics.queue_wait_us.Observe(
         static_cast<double>(start_ns - enqueue_ns) / 1000.0);
     task();
     const uint64_t end_ns = obs::internal::NowNs();
-    metrics.run_us->Observe(static_cast<double>(end_ns - start_ns) / 1000.0);
+    metrics.run_us.Observe(static_cast<double>(end_ns - start_ns) / 1000.0);
     if (traced) obs::internal::RecordSpan("pool/task", start_ns, end_ns);
   };
   {
@@ -177,15 +171,25 @@ ThreadPool& ThreadPool::Shared() {
   return *pool;
 }
 
-bool ThreadPool::InWorker() { return tls_in_worker; }
-
 void ParallelFor(int64_t begin, int64_t end, int threads,
                  const std::function<void(int64_t)>& fn) {
-  if (threads <= 1 || end - begin <= 1 || ThreadPool::InWorker()) {
+  if (threads <= 1 || end - begin <= 1 || tls_in_worker) {
     for (int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
   ThreadPool::Shared().ParallelFor(begin, end, threads, fn);
+}
+
+obs::MetricsSnapshot PoolMetricsSnapshot() {
+  const PoolMetrics& metrics = Metrics();
+  obs::MetricsSnapshot snapshot;
+  snapshot.values.push_back(
+      {"pool.tasks", obs::MetricKind::kCounter, metrics.tasks.Value(), {}});
+  snapshot.values.push_back({"pool.queue_wait_us", obs::MetricKind::kHistogram,
+                             0, metrics.queue_wait_us.Snapshot()});
+  snapshot.values.push_back({"pool.task_run_us", obs::MetricKind::kHistogram,
+                             0, metrics.run_us.Snapshot()});
+  return snapshot;
 }
 
 }  // namespace common

@@ -2,22 +2,26 @@
 //
 // The pool exists to make downstream-task evaluation — the wall-clock
 // bottleneck the paper's Performance Predictor attacks (Table II) — run as
-// wide as the hardware allows without changing a single score: k-fold splits,
-// forest trees, and batched candidate datasets are all independent units of
-// work whose seeds are derived up front, so any interleaving reproduces the
-// serial results bit for bit.
+// wide as the hardware allows without changing a single score: k-fold splits
+// and batched candidate datasets are independent units of work whose seeds
+// are derived up front, so any interleaving reproduces the serial results
+// bit for bit.
 //
 // Concurrency model (see DESIGN.md "Concurrency model"):
 //   * One process-wide pool (`ThreadPool::Shared()`), sized to
 //     hardware_concurrency; call sites cap their own parallelism per call.
+//     `ParallelFor` has one caller: the evaluator (src/ml/evaluator.cc).
 //   * `ParallelFor` is a blocking fork-join: the calling thread participates
 //     in the loop, so progress is guaranteed even when every worker is busy.
 //   * Nested `ParallelFor` calls from inside a worker run inline (serial) —
-//     fold-level parallelism subsumes tree-level parallelism instead of
-//     deadlocking on the shared queue.
+//     a batch's candidate-level fan-out subsumes each candidate's fold-level
+//     fan-out instead of deadlocking on the shared queue.
 //   * The first exception thrown by the body is captured and rethrown on the
 //     calling thread after the loop quiesces; remaining indices may be
 //     skipped.
+//   * Every pool counts its tasks into one process-wide set of metrics
+//     (`PoolMetricsSnapshot()`), which the engine reports as its delta over
+//     a run.
 
 #pragma once
 
@@ -27,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_annotations.h"
 
 namespace fastft {
@@ -61,9 +66,6 @@ class ThreadPool {
   /// hardware. Created on first use; intentionally never destroyed.
   static ThreadPool& Shared();
 
-  /// True on a thread that is currently executing pool work.
-  static bool InWorker();
-
  private:
   void WorkerLoop(int worker_index);
   void Enqueue(std::function<void()> task);
@@ -81,6 +83,10 @@ class ThreadPool {
 /// serial configurations stay thread-free.
 void ParallelFor(int64_t begin, int64_t end, int threads,
                  const std::function<void(int64_t)>& fn);
+
+/// Counts of every pool's tasks since process start: pool.tasks, then the
+/// pool.queue_wait_us and pool.task_run_us histograms (microseconds).
+obs::MetricsSnapshot PoolMetricsSnapshot();
 
 }  // namespace common
 }  // namespace fastft

@@ -16,6 +16,7 @@
 #include "common/recorder.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/threadpool.h"
 #include "common/trace.h"
 #include "core/checkpoint.h"
 #include "core/evaluation_memo.h"
@@ -897,10 +898,9 @@ void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
 // completed (so it can be resumed with a longer horizon) or was interrupted
 // mid-episode (so resume replays from the last boundary) — and close the
 // result with the run's counted work: its evaluator's counts and memo hits,
-// then the process-wide registry's delta over the run (pool counters,
-// histograms).
+// then the shared pool's delta over the run (its counter and histograms).
 void Finish(RunContext& ctx, EngineState& s, bool interrupted,
-            const obs::MetricsSnapshot& registry_start) {
+            const obs::MetricsSnapshot& pool_start) {
   if (ctx.snapshot_dirty) WriteSnapshot(ctx, s);
   EngineResult& result = s.result;
   result.total_steps = s.run.global_step;
@@ -920,9 +920,9 @@ void Finish(RunContext& ctx, EngineState& s, bool interrupted,
     result.metrics.values.push_back(
         {name, obs::MetricKind::kCounter, count, {}});
   }
-  obs::MetricsSnapshot registry = obs::DeltaSnapshot(
-      registry_start, obs::MetricsRegistry::Global().Snapshot());
-  for (obs::MetricValue& value : registry.values) {
+  obs::MetricsSnapshot pool =
+      obs::DeltaSnapshot(pool_start, common::PoolMetricsSnapshot());
+  for (obs::MetricValue& value : pool.values) {
     result.metrics.values.push_back(std::move(value));
   }
 }
@@ -946,10 +946,9 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
   FASTFT_RETURN_NOT_OK(ValidateEngineConfig(config_));
   TraceSession trace_session(config_);
   FASTFT_TRACE_SPAN("engine/run");
-  // The process-wide registry (pool counters and histograms) is reported as
-  // its delta over this run; Finish() adds the run's own counts.
-  const obs::MetricsSnapshot registry_start =
-      obs::MetricsRegistry::Global().Snapshot();
+  // The shared pool's counts are reported as their delta over this run;
+  // Finish() adds the run's own counts.
+  const obs::MetricsSnapshot pool_start = common::PoolMetricsSnapshot();
 
   RunContext ctx(config_, dataset);
   std::unique_ptr<EngineState> state = SetupOrResume(ctx);
@@ -988,7 +987,7 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
     }
     EndEpisode(ctx, s, episode);
   }
-  Finish(ctx, s, interrupted, registry_start);
+  Finish(ctx, s, interrupted, pool_start);
   return std::move(s.result);
 }
 

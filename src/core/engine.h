@@ -101,7 +101,7 @@ struct EngineConfig {
   FeatureSpaceConfig feature_space;
   ClusteringConfig clustering;
   /// Downstream evaluator settings. Its num_threads is overridden by
-  /// EngineConfig::num_threads below; forest_threads passes through.
+  /// EngineConfig::num_threads below.
   EvaluatorConfig evaluator;
 
   /// Worker threads for downstream evaluation (the evaluator's k-fold
@@ -216,10 +216,10 @@ struct EngineResult {
   /// evaluator.folds, evaluator.folds_skipped and forest.trees_fit, which
   /// count real fits, and evaluator.memo_hits, the downstream evaluations
   /// answered from the run's memo (evaluations + memo_hits ==
-  /// downstream_evaluations; zero counts left out). Then the delta of the
-  /// process-wide registry over the run: pool.tasks and the pool
-  /// histograms, which overlapping runs share. Not checkpointed: a resumed
-  /// run counts only its own work.
+  /// downstream_evaluations; zero counts left out). Then the shared pool's
+  /// delta over the run (common::PoolMetricsSnapshot): pool.tasks and the
+  /// pool histograms, which overlapping runs share. Not checkpointed: a
+  /// resumed run counts only its own work.
   obs::MetricsSnapshot metrics;
   /// True when the run stopped early on the wall-clock budget or the
   /// cancel flag; the result is then a valid partial report covering

@@ -57,21 +57,4 @@ std::vector<TrainTestIndices> KFoldSplit(const Dataset& dataset, int folds,
   return out;
 }
 
-TrainTestData MaterializeSplit(const Dataset& dataset,
-                               const TrainTestIndices& indices) {
-  TrainTestData out;
-  out.train.name = dataset.name;
-  out.train.task = dataset.task;
-  out.train.features = dataset.features.SelectRows(indices.train);
-  out.train.labels.reserve(indices.train.size());
-  for (int i : indices.train) out.train.labels.push_back(dataset.labels[i]);
-
-  out.test.name = dataset.name;
-  out.test.task = dataset.task;
-  out.test.features = dataset.features.SelectRows(indices.test);
-  out.test.labels.reserve(indices.test.size());
-  for (int i : indices.test) out.test.labels.push_back(dataset.labels[i]);
-  return out;
-}
-
 }  // namespace fastft

@@ -1,4 +1,4 @@
-// K-fold cross-validation index generation and split materialization.
+// K-fold cross-validation index generation.
 
 #pragma once
 
@@ -19,14 +19,6 @@ struct TrainTestIndices {
 /// test rows are ascending (the evaluator's presort views rely on it).
 std::vector<TrainTestIndices> KFoldSplit(const Dataset& dataset, int folds,
                                          uint64_t seed);
-
-/// Materializes a train/test pair of datasets from index sets.
-struct TrainTestData {
-  Dataset train;
-  Dataset test;
-};
-TrainTestData MaterializeSplit(const Dataset& dataset,
-                               const TrainTestIndices& indices);
 
 }  // namespace fastft
 

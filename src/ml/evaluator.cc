@@ -40,8 +40,7 @@ const char* ModelKindName(ModelKind kind) {
 }
 
 std::unique_ptr<Model> MakeModel(ModelKind kind, TaskType task, uint64_t seed,
-                                 int forest_trees, int forest_depth,
-                                 int forest_threads) {
+                                 int forest_trees, int forest_depth) {
   const bool regression = task == TaskType::kRegression;
   switch (kind) {
     case ModelKind::kRandomForest: {
@@ -49,7 +48,6 @@ std::unique_ptr<Model> MakeModel(ModelKind kind, TaskType task, uint64_t seed,
       fc.regression = regression;
       fc.num_trees = forest_trees;
       fc.max_depth = forest_depth;
-      fc.num_threads = forest_threads;
       fc.seed = seed;
       return std::make_unique<RandomForest>(fc);
     }
@@ -159,8 +157,7 @@ double Evaluator::Evaluate(const Dataset& dataset, Metric metric) const {
     std::unique_ptr<Model> model =
         MakeModel(config_.model, dataset.task,
                   DeriveSeed(config_.seed, static_cast<uint64_t>(k) + 1),
-                  config_.forest_trees, config_.forest_depth,
-                  config_.forest_threads);
+                  config_.forest_trees, config_.forest_depth);
     if (forest) {
       // MakeModel builds a RandomForest for kRandomForest.
       static_cast<RandomForest&>(*model).Fit(
@@ -220,7 +217,6 @@ std::vector<double> Evaluator::FeatureImportance(
   fc.regression = dataset.task == TaskType::kRegression;
   fc.num_trees = std::max(config_.forest_trees, 10);
   fc.max_depth = config_.forest_depth;
-  fc.num_threads = config_.forest_threads;
   fc.seed = config_.seed;
   RandomForest forest(fc);
   forest.Fit(PresortedData(dataset.features, dataset.labels));

@@ -35,11 +35,9 @@ enum class ModelKind {
 
 const char* ModelKindName(ModelKind kind);
 
-/// Builds a model of `kind` appropriate for `task`. `forest_threads` is
-/// wired into ForestConfig::num_threads for the forest models.
+/// Builds a model of `kind` appropriate for `task`.
 std::unique_ptr<Model> MakeModel(ModelKind kind, TaskType task, uint64_t seed,
-                                 int forest_trees = 10, int forest_depth = 6,
-                                 int forest_threads = 1);
+                                 int forest_trees = 10, int forest_depth = 6);
 
 struct EvaluatorConfig {
   ModelKind model = ModelKind::kRandomForest;
@@ -51,10 +49,6 @@ struct EvaluatorConfig {
   /// Scores are bit-identical for any value (per-fold seeds are derived up
   /// front and the reduction runs in fold order).
   int num_threads = 1;
-  /// Tree-fitting threads per forest model (ForestConfig::num_threads);
-  /// 1 = serial, 0 = all hardware threads. Nested under fold-level
-  /// parallelism the forest fit runs inline.
-  int forest_threads = 1;
   /// Optional cooperative deadline (borrowed; may be null). When expired,
   /// remaining folds/candidates are skipped: Evaluate returns NaN for the
   /// skipped work instead of blocking until completion. Callers that see the

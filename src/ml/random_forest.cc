@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "common/trace.h"
 
 namespace fastft {
@@ -37,9 +36,8 @@ void RandomForest::Fit(const PresortedData& data) {
       std::max(1, static_cast<int>(config_.bootstrap_fraction * n));
 
   // Every feature is sorted once (in `data`); each tree then fits from this
-  // shared, read-only view through its bootstrap's row indices. Bootstraps
-  // are drawn serially (identical draws for any thread count), then trees
-  // fit — in parallel when configured.
+  // shared, read-only view through its bootstrap's row indices. All
+  // bootstraps are drawn first, then the trees fit in order.
   std::vector<std::vector<int>> samples(config_.num_trees);
   for (std::vector<int>& sample : samples) {
     sample.reserve(boot_n + 1);
@@ -62,7 +60,7 @@ void RandomForest::Fit(const PresortedData& data) {
   }
 
   trees_.assign(config_.num_trees, DecisionTree());
-  auto fit_tree = [&](int64_t t) {
+  for (int t = 0; t < config_.num_trees; ++t) {
     FASTFT_TRACE_SPAN("forest/fit_tree");
     TreeConfig tc;
     tc.regression = config_.regression;
@@ -70,14 +68,9 @@ void RandomForest::Fit(const PresortedData& data) {
     tc.min_samples_leaf = config_.min_samples_leaf;
     tc.max_features = per_split;
     tc.seed = DeriveSeed(config_.seed, static_cast<uint64_t>(t) + 1);
-    DecisionTree tree(tc);
-    tree.Fit(data, samples[t]);
-    trees_[t] = std::move(tree);
-  };
-  const int threads =
-      std::clamp(common::ResolveThreadCount(config_.num_threads), 1,
-                 config_.num_trees);
-  common::ParallelFor(0, config_.num_trees, threads, fit_tree);
+    trees_[t] = DecisionTree(tc);
+    trees_[t].Fit(data, samples[t]);
+  }
   // Trees may have inferred fewer classes from a bootstrap; remember the max.
   for (const DecisionTree& tree : trees_) {
     num_classes_ = std::max(num_classes_, tree.num_classes());

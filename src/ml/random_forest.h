@@ -22,10 +22,6 @@ struct ForestConfig {
   /// <=0: sqrt(num_features) per split.
   int max_features = 0;
   double bootstrap_fraction = 1.0;
-  /// Trees fitted concurrently on the shared pool; 1 = serial, 0 = all
-  /// hardware threads. Results are identical for any thread count
-  /// (bootstrap draws are made serially, fitting fans out).
-  int num_threads = 1;
   uint64_t seed = 17;
 };
 

@@ -32,14 +32,6 @@ Matrix Matrix::Randn(int rows, int cols, double scale, Rng* rng) {
   return m;
 }
 
-std::vector<double> Matrix::RowVec(int r) const {
-  FASTFT_CHECK_GE(r, 0);
-  FASTFT_CHECK_LT(r, rows_);
-  std::vector<double> out(cols_);
-  for (int c = 0; c < cols_; ++c) out[c] = (*this)(r, c);
-  return out;
-}
-
 RowSpan Matrix::Row(int r) const {
   FASTFT_CHECK_GE(r, 0);
   FASTFT_CHECK_LT(r, rows_);

@@ -59,9 +59,7 @@ class Matrix {
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
 
-  /// Row `r` as a vector copy.
-  std::vector<double> RowVec(int r) const;
-  /// Row `r` as a borrowed view — use instead of RowVec when only reading.
+  /// Row `r` as a borrowed view.
   RowSpan Row(int r) const;
 
   void Fill(double value);

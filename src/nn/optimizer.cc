@@ -84,16 +84,5 @@ void AdamOptimizer::LoadState(common::BinaryReader* reader) {
   v_ = std::move(v);
 }
 
-void SgdOptimizer::Step() {
-  for (Parameter* p : params_) {
-    double* value = p->value.data();
-    double* grad = p->grad.data();
-    for (size_t j = 0; j < p->size(); ++j) {
-      value[j] -= lr_ * grad[j];
-      grad[j] = 0.0;
-    }
-  }
-}
-
 }  // namespace nn
 }  // namespace fastft

@@ -1,5 +1,4 @@
-// Optimizers: Adam (default throughout) and plain SGD; global-norm gradient
-// clipping.
+// The Adam optimizer and global-norm gradient clipping.
 
 #pragma once
 
@@ -41,19 +40,6 @@ class AdamOptimizer {
   double lr_, beta1_, beta2_, eps_;
   int64_t t_ = 0;
   std::vector<std::vector<double>> m_, v_;
-};
-
-class SgdOptimizer {
- public:
-  explicit SgdOptimizer(std::vector<Parameter*> params, double lr = 1e-2)
-      : params_(std::move(params)), lr_(lr) {}
-
-  void Step();
-  void set_learning_rate(double lr) { lr_ = lr; }
-
- private:
-  std::vector<Parameter*> params_;
-  double lr_;
 };
 
 }  // namespace nn

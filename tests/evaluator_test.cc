@@ -178,10 +178,9 @@ TEST(EvaluatorTest, ForestScoresUnchanged) {
   EXPECT_BITS(0x3fe7a732a5c730b0, forest.Evaluate(binary));
   EXPECT_BITS(0x3fea1d97f54642d3, forest.Evaluate(binary, Metric::kAuc));
 
-  // Folds and trees on the pool: the same bits.
+  // Folds on the pool: the same bits.
   EvaluatorConfig pooled = PinConfig(3, 8, 5);
   pooled.num_threads = 3;
-  pooled.forest_threads = 2;
   EXPECT_BITS(0x3fe7a732a5c730b0, Evaluator(pooled).Evaluate(binary));
 
   spec.samples = 240;

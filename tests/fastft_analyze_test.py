@@ -46,6 +46,7 @@ EXPECTATIONS = {
     "trigger_unordered_iteration.cc": "unordered-iteration",
     "trigger_unordered_multiline_for.cc": "unordered-iteration",
     "trigger_raw_mutex.cc": "raw-mutex",
+    "trigger_pool_fanout.cc": "pool-fanout",
     "trigger_raw_intrinsics.cc": "raw-intrinsics",
     "trigger_check_user_input.cc": "check-user-input",
     "trigger_pragma_once.h": "pragma-once",
@@ -61,7 +62,8 @@ ALL_RULES = (
     "discarded-status", "unchecked-value", "layer-violation",
     "include-cycle", "fp-reduction", "unordered-iteration",
     "fp-unordered-accumulate", "fp-flag-drift", "nondeterminism",
-    "raw-mutex", "raw-intrinsics", "check-user-input", "pragma-once",
+    "raw-mutex", "pool-fanout", "raw-intrinsics", "check-user-input",
+    "pragma-once",
 )
 
 failures = []

@@ -1,6 +1,7 @@
-// Tests of the fastft::obs metrics layer: counter/histogram
-// semantics, registry identity, snapshot deltas, concurrent increments, and
-// the JSON export shape.
+// Tests of the fastft::obs metrics layer: counter/histogram semantics,
+// snapshot lookups and deltas, concurrent increments, and the JSON export
+// shape. (The suite name predates the removal of the name->metric
+// registry; the cases build snapshots from Counter and Histogram directly.)
 
 #include "common/metrics.h"
 
@@ -13,23 +14,22 @@
 namespace fastft {
 namespace {
 
-// Tests use a fresh local registry so the process-wide Global() — which the
-// instrumented subsystems feed — stays out of the assertions.
-TEST(MetricsRegistryTest, CounterIncrements) {
-  obs::MetricsRegistry registry;
-  obs::Counter* counter = registry.GetCounter("test.counter");
-  EXPECT_EQ(counter->Value(), 0);
-  counter->Increment();
-  counter->Increment(5);
-  EXPECT_EQ(counter->Value(), 6);
+obs::MetricValue CounterValue(const std::string& name,
+                              const obs::Counter& counter) {
+  return {name, obs::MetricKind::kCounter, counter.Value(), {}};
 }
 
-TEST(MetricsRegistryTest, SameNameSamePointer) {
-  obs::MetricsRegistry registry;
-  EXPECT_EQ(registry.GetCounter("a"), registry.GetCounter("a"));
-  EXPECT_EQ(registry.GetHistogram("h", {1.0, 2.0}),
-            registry.GetHistogram("h", {9.0}));  // bounds fixed on first use
-  EXPECT_NE(registry.GetCounter("a"), registry.GetCounter("b"));
+obs::MetricValue HistogramValue(const std::string& name,
+                                const obs::Histogram& histogram) {
+  return {name, obs::MetricKind::kHistogram, 0, histogram.Snapshot()};
+}
+
+TEST(MetricsRegistryTest, CounterIncrements) {
+  obs::Counter counter;
+  EXPECT_EQ(counter.Value(), 0);
+  counter.Increment();
+  counter.Increment(5);
+  EXPECT_EQ(counter.Value(), 6);
 }
 
 TEST(MetricsRegistryTest, HistogramBucketsValues) {
@@ -50,56 +50,62 @@ TEST(MetricsRegistryTest, HistogramBucketsValues) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsLoseNothing) {
-  obs::MetricsRegistry registry;
-  obs::Counter* counter = registry.GetCounter("test.concurrent");
-  obs::Histogram* histogram =
-      registry.GetHistogram("test.concurrent_us", {1.0, 10.0});
+  obs::Counter counter;
+  obs::Histogram histogram({1.0, 10.0});
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        counter->Increment();
-        histogram->Observe(5.0);
+        counter.Increment();
+        histogram.Observe(5.0);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(counter->Value(), kThreads * kPerThread);
-  obs::Histogram::Data data = histogram->Snapshot();
+  EXPECT_EQ(counter.Value(), kThreads * kPerThread);
+  obs::Histogram::Data data = histogram.Snapshot();
   EXPECT_EQ(data.count, kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(data.sum, 5.0 * kThreads * kPerThread);
 }
 
 TEST(MetricsRegistryTest, SnapshotFindsByName) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("c.one")->Increment(7);
-  registry.GetHistogram("h.one", {1.0})->Observe(2.5);
-  obs::MetricsSnapshot snapshot = registry.Snapshot();
+  obs::Counter counter;
+  obs::Histogram histogram({1.0});
+  counter.Increment(7);
+  histogram.Observe(2.5);
+  obs::MetricsSnapshot snapshot;
+  snapshot.values = {CounterValue("c.one", counter),
+                     HistogramValue("h.one", histogram)};
   EXPECT_FALSE(snapshot.empty());
   EXPECT_EQ(snapshot.CounterValue("c.one"), 7);
   EXPECT_EQ(snapshot.CounterValue("c.absent"), 0);
   EXPECT_EQ(snapshot.CounterValue("h.one"), 0);  // not a counter
-  const obs::MetricValue* histogram = snapshot.Find("h.one");
-  ASSERT_NE(histogram, nullptr);
-  EXPECT_EQ(histogram->kind, obs::MetricKind::kHistogram);
-  EXPECT_DOUBLE_EQ(histogram->histogram.sum, 2.5);
+  const obs::MetricValue* found = snapshot.Find("h.one");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->kind, obs::MetricKind::kHistogram);
+  EXPECT_DOUBLE_EQ(found->histogram.sum, 2.5);
 }
 
 TEST(MetricsRegistryTest, DeltaSubtractsAndDropsZeroes) {
-  obs::MetricsRegistry registry;
-  obs::Counter* active = registry.GetCounter("c.active");
-  obs::Counter* idle = registry.GetCounter("c.idle");
-  obs::Histogram* histogram = registry.GetHistogram("h.lat", {1.0});
-  active->Increment(10);
-  idle->Increment(3);
-  histogram->Observe(0.5);
-  obs::MetricsSnapshot start = registry.Snapshot();
+  obs::Counter active;
+  obs::Counter idle;
+  obs::Histogram histogram({1.0});
+  auto snapshot = [&] {
+    obs::MetricsSnapshot s;
+    s.values = {CounterValue("c.active", active), CounterValue("c.idle", idle),
+                HistogramValue("h.lat", histogram)};
+    return s;
+  };
+  active.Increment(10);
+  idle.Increment(3);
+  histogram.Observe(0.5);
+  obs::MetricsSnapshot start = snapshot();
 
-  active->Increment(4);
-  histogram->Observe(2.0);
-  obs::MetricsSnapshot end = registry.Snapshot();
+  active.Increment(4);
+  histogram.Observe(2.0);
+  obs::MetricsSnapshot end = snapshot();
 
   obs::MetricsSnapshot delta = obs::DeltaSnapshot(start, end);
   EXPECT_EQ(delta.CounterValue("c.active"), 4);
@@ -114,19 +120,24 @@ TEST(MetricsRegistryTest, DeltaSubtractsAndDropsZeroes) {
 }
 
 TEST(MetricsRegistryTest, MetricNewAfterStartPassesThroughDelta) {
-  obs::MetricsRegistry registry;
-  obs::MetricsSnapshot start = registry.Snapshot();
-  registry.GetCounter("c.born_later")->Increment(9);
-  obs::MetricsSnapshot delta =
-      obs::DeltaSnapshot(start, registry.Snapshot());
+  obs::MetricsSnapshot start;
+  obs::Counter counter;
+  counter.Increment(9);
+  obs::MetricsSnapshot end;
+  end.values = {CounterValue("c.born_later", counter)};
+  obs::MetricsSnapshot delta = obs::DeltaSnapshot(start, end);
   EXPECT_EQ(delta.CounterValue("c.born_later"), 9);
 }
 
 TEST(MetricsRegistryTest, ToJsonShape) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("c.n")->Increment(2);
-  registry.GetHistogram("h.us", {10.0})->Observe(3.0);
-  std::string json = registry.Snapshot().ToJson();
+  obs::Counter counter;
+  obs::Histogram histogram({10.0});
+  counter.Increment(2);
+  histogram.Observe(3.0);
+  obs::MetricsSnapshot snapshot;
+  snapshot.values = {CounterValue("c.n", counter),
+                     HistogramValue("h.us", histogram)};
+  std::string json = snapshot.ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"c.n\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
@@ -134,12 +145,6 @@ TEST(MetricsRegistryTest, ToJsonShape) {
 
   obs::MetricsSnapshot empty;
   EXPECT_EQ(empty.ToJson(), "{\"counters\": {}, \"histograms\": {}}");
-}
-
-TEST(MetricsRegistryTest, GlobalIsProcessWide) {
-  obs::Counter* a = obs::MetricsRegistry::Global().GetCounter("test.global");
-  obs::Counter* b = obs::MetricsRegistry::Global().GetCounter("test.global");
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

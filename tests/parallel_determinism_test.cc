@@ -44,21 +44,11 @@ TEST(ParallelDeterminismTest, FoldParallelEvaluateIsBitIdentical) {
   EXPECT_EQ(serial.Evaluate(ds), parallel.Evaluate(ds));
 }
 
-TEST(ParallelDeterminismTest, TreeParallelForestIsBitIdentical) {
-  Dataset ds = Classification();
-  EvaluatorConfig serial_cfg = EvalConfig(1);
-  EvaluatorConfig parallel_cfg = EvalConfig(1);
-  parallel_cfg.forest_threads = 4;
-  Evaluator serial(serial_cfg);
-  Evaluator parallel(parallel_cfg);
-  EXPECT_EQ(serial.Evaluate(ds), parallel.Evaluate(ds));
-}
-
 TEST(ParallelDeterminismTest, SharedPresortIsBitIdenticalAcrossThreadCounts) {
-  // Every tree of a forest fits from one presorted view of the training
-  // set, read concurrently by the tree-level threads; nested under
-  // fold-level threads the forests of different folds fit side by side.
-  // Neither may move a bit of the scores or the importances.
+  // Every fold's forest fits from a view of one presort of the dataset;
+  // under fold-level threads the folds read that presort concurrently and
+  // fit side by side. That may not move a bit of the scores or the
+  // importances.
   SyntheticSpec spec;
   spec.samples = 300;
   spec.features = 9;
@@ -72,17 +62,13 @@ TEST(ParallelDeterminismTest, SharedPresortIsBitIdenticalAcrossThreadCounts) {
     const double expected = serial.Evaluate(*ds);
     const std::vector<double> expected_importance =
         serial.FeatureImportance(*ds);
-    for (int fold_threads : {1, 4}) {
-      for (int forest_threads : {1, 2, 4}) {
-        EvaluatorConfig cfg = serial_cfg;
-        cfg.num_threads = fold_threads;
-        cfg.forest_threads = forest_threads;
-        const Evaluator parallel(cfg);
-        EXPECT_EQ(parallel.Evaluate(*ds), expected)
-            << fold_threads << "x" << forest_threads;
-        EXPECT_EQ(parallel.FeatureImportance(*ds), expected_importance)
-            << fold_threads << "x" << forest_threads;
-      }
+    for (int fold_threads : {1, 2, 4}) {
+      EvaluatorConfig cfg = serial_cfg;
+      cfg.num_threads = fold_threads;
+      const Evaluator parallel(cfg);
+      EXPECT_EQ(parallel.Evaluate(*ds), expected) << fold_threads;
+      EXPECT_EQ(parallel.FeatureImportance(*ds), expected_importance)
+          << fold_threads;
     }
   }
 }

@@ -75,23 +75,6 @@ TEST_P(KFoldParamTest, FoldsPartitionRows) {
 
 INSTANTIATE_TEST_SUITE_P(Folds, KFoldParamTest, testing::Values(2, 3, 5, 10));
 
-TEST(SplitTest, MaterializeSplitShapes) {
-  Dataset ds = SmallClassification();
-  TrainTestIndices split = KFoldSplit(ds, 4, 3)[1];
-  TrainTestData data = MaterializeSplit(ds, split);
-  EXPECT_EQ(data.train.NumRows(), static_cast<int>(split.train.size()));
-  EXPECT_EQ(data.test.NumRows(), static_cast<int>(split.test.size()));
-  EXPECT_EQ(data.train.NumFeatures(), ds.NumFeatures());
-  EXPECT_EQ(data.train.task, ds.task);
-  // Labels follow rows.
-  for (size_t i = 0; i < split.test.size(); ++i) {
-    EXPECT_DOUBLE_EQ(data.test.labels[i], ds.labels[split.test[i]]);
-  }
-  for (size_t i = 0; i < split.train.size(); ++i) {
-    EXPECT_DOUBLE_EQ(data.train.labels[i], ds.labels[split.train[i]]);
-  }
-}
-
 TEST(SplitTest, RegressionSplitWorks) {
   SyntheticSpec spec;
   spec.samples = 60;

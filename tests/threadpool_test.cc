@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace fastft {
@@ -21,6 +22,35 @@ TEST(ResolveThreadCountTest, ZeroMeansAllHardwareThreads) {
 TEST(ResolveThreadCountTest, PositiveRequestsPassThrough) {
   EXPECT_EQ(ResolveThreadCount(1), 1);
   EXPECT_EQ(ResolveThreadCount(4), 4);
+}
+
+// First among the pool tests, so in a whole-binary run too it sees the
+// metrics before any task has run.
+TEST(ThreadPoolTest, PoolMetricsCountEveryPool) {
+  const obs::MetricsSnapshot start = PoolMetricsSnapshot();
+  std::vector<std::string> names;
+  for (const obs::MetricValue& value : start.values) {
+    names.push_back(value.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "pool.tasks", "pool.queue_wait_us", "pool.task_run_us"}));
+
+  {
+    // Three executors over 8 indices: the caller plus 2 enqueued tasks.
+    // Leaving the scope joins the workers, so both tasks have also recorded
+    // their run time before the snapshot below.
+    ThreadPool pool(2);
+    pool.ParallelFor(0, 8, 3, [](int64_t) {});
+  }
+  const obs::MetricsSnapshot delta =
+      obs::DeltaSnapshot(start, PoolMetricsSnapshot());
+  EXPECT_EQ(delta.CounterValue("pool.tasks"), 2);
+  const obs::MetricValue* wait = delta.Find("pool.queue_wait_us");
+  const obs::MetricValue* run = delta.Find("pool.task_run_us");
+  ASSERT_NE(wait, nullptr);
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(wait->histogram.count, 2);
+  EXPECT_EQ(run->histogram.count, 2);
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {

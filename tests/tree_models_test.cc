@@ -268,35 +268,6 @@ TEST(GradientBoostingTest, ScoresInUnitIntervalForClassification) {
 }
 
 
-TEST(RandomForestTest, ParallelMatchesSerial) {
-  Rows x;
-  std::vector<double> y;
-  MakeXor(250, &x, &y);
-  ForestConfig serial;
-  serial.num_trees = 12;
-  serial.seed = 77;
-  ForestConfig parallel = serial;
-  parallel.num_threads = 4;
-  RandomForest a(serial), b(parallel);
-  a.Fit(x, y);
-  b.Fit(x, y);
-  EXPECT_EQ(a.Predict(x), b.Predict(x));
-  EXPECT_EQ(a.PredictScore(x), b.PredictScore(x));
-  EXPECT_EQ(a.FeatureImportance(), b.FeatureImportance());
-}
-
-TEST(RandomForestTest, MoreThreadsThanTreesClamped) {
-  Rows x;
-  std::vector<double> y;
-  MakeXor(100, &x, &y);
-  ForestConfig fc;
-  fc.num_trees = 3;
-  fc.num_threads = 16;
-  RandomForest forest(fc);
-  forest.Fit(x, y);  // must not crash / deadlock
-  EXPECT_EQ(forest.Predict(x).size(), x.size());
-}
-
 // --- Presort fold views ------------------------------------------------------
 //
 // The evaluator fits each fold from a view of one full-data presort. The

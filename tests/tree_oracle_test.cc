@@ -477,7 +477,6 @@ TEST(TreeOracleTest, RandomForestMatchesRowCopyReference) {
     fc.min_samples_leaf = c.min_samples_leaf;
     fc.max_features = c.max_features;
     fc.bootstrap_fraction = seed % 3 == 0 ? 0.3 : 1.0;
-    fc.num_threads = 1 + static_cast<int>(seed % 2);
     fc.seed = seed;
 
     reference::Forest expected(fc);

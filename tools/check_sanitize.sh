@@ -29,7 +29,7 @@
 # name, whose multi-threaded engine runs keep estimation on the engine
 # thread while downstream folds fan out over the shared pool. It finishes with
 # tools/check_trace.sh against the sanitized CLI, so a full traced engine
-# run (span rings + metrics registry) executes under the race detector,
+# run (span rings + pool metrics) executes under the race detector,
 # tools/check_crash.sh, so kill-and-resume checkpointing (atomic writes,
 # restore paths, threaded resume) is exercised under TSan too, and
 # tools/check_record.sh, so a recorded run (per-episode event buffering,

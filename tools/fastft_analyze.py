@@ -54,7 +54,10 @@ not per-regex), builds a cross-file declaration index and the project
                      read, obs::internal::NowNs in src/common/timer.cc,
                      carries the tree's only suppression for it);
                      [raw-mutex] the std::mutex family outside
-                     src/common/thread_annotations.h; [raw-intrinsics] SIMD
+                     src/common/thread_annotations.h; [pool-fanout]
+                     ThreadPool or a ParallelFor( call outside
+                     src/common/threadpool.* and src/ml/evaluator.cc, the
+                     one fan-out site (tests/ exempt); [raw-intrinsics] SIMD
                      intrinsics or their headers outside
                      src/common/simd_kernels*; [check-user-input]
                      FASTFT_CHECK* in the input-parsing layers
@@ -890,6 +893,13 @@ RAW_MUTEX_TYPES = {
     "scoped_lock", "shared_lock", "condition_variable",
     "condition_variable_any",
 }
+# The shared pool fans out from one place: the evaluator's folds and
+# batches. Tests drive private pools directly.
+POOL_FANOUT_EXEMPT = (
+    os.path.join("src", "common", "threadpool."),
+    os.path.join("src", "ml", "evaluator.cc"),
+    "tests" + os.sep,
+)
 CLOCK_RE = re.compile(r"[A-Za-z_]\w*_clock|Clock")
 INTRINSIC_RE = re.compile(
     r"_mm(?:256|512)?_[a-z0-9_]+"
@@ -921,6 +931,7 @@ def _nondeterminism_source(v):
 def check_invariants(src):
     rel = src.rel_path
     kernel = rel.startswith(KERNEL_PREFIX)
+    pool_exempt = rel.startswith(POOL_FANOUT_EXEMPT)
     if rel.endswith(".h") and not any(
             t.kind == "pp" and PRAGMA_ONCE_RE.fullmatch(t.value)
             for t in src.tokens):
@@ -950,6 +961,14 @@ def check_invariants(src):
                 "fastft::common::Mutex / MutexLock / CondVar "
                 "(src/common/thread_annotations.h) so -Wthread-safety can "
                 "check the lock discipline")
+        if not pool_exempt and (
+                tok.value == "ThreadPool" or
+                (tok.value == "ParallelFor" and values[i + 1:i + 2] == ["("])):
+            yield tok.line, "pool-fanout", (
+                f"'{tok.value}' outside src/common/threadpool.* and "
+                "src/ml/evaluator.cc; the shared pool fans out only over the "
+                "evaluator's folds and batches (DESIGN.md \"Concurrency "
+                "model\"), so take an EvaluatorConfig::num_threads instead")
         if values[i + 1:i + 2] != ["("]:
             continue
         if not kernel and INTRINSIC_RE.fullmatch(tok.value):
@@ -989,6 +1008,8 @@ RULES = [
     ("nondeterminism",
      "unseeded randomness / clock reads outside the one clock read"),
     ("raw-mutex", "raw std::mutex family bypassing the annotated wrappers"),
+    ("pool-fanout",
+     "ThreadPool/ParallelFor outside the pool and src/ml/evaluator.cc"),
     ("raw-intrinsics",
      "SIMD intrinsics outside the blessed src/common/simd_kernels* files"),
     ("check-user-input",
