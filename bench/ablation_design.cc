@@ -98,7 +98,7 @@ int main_impl() {
     std::printf("\n");
   }
   std::printf("  (the default cap of 12 sits on the plateau)\n");
-  return 0;
+  return bench::ExitCode();
 }
 
 }  // namespace

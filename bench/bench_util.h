@@ -46,12 +46,28 @@ inline void PrintTitle(const std::string& title) {
   std::printf("================================================================\n");
 }
 
-/// Printed at the end of each harness: the qualitative property the paper
-/// reports and whether this run reproduced it.
+/// Deterministic checks that missed so far in this process.
+inline int shape_misses = 0;
+
+/// Printed at the end of each harness: a qualitative property the paper
+/// reports that does not depend on wall clock, and whether this run
+/// reproduced it. A miss makes ExitCode() 1.
 inline void ShapeCheck(bool ok, const std::string& claim) {
   std::printf("paper-shape check: [%s] %s\n", ok ? "OK" : "MISS",
               claim.c_str());
+  if (!ok) ++shape_misses;
 }
+
+/// The same line for a wall-clock claim (a speedup, a runtime share, an
+/// overhead). It depends on the host's load, so it stays informational and
+/// never fails the run.
+inline void TimingCheck(bool ok, const std::string& claim) {
+  std::printf("paper-shape check: [%s] %s\n", ok ? "OK" : "MISS",
+              claim.c_str());
+}
+
+/// Every bench main's exit code: 1 if a ShapeCheck missed, else 0.
+inline int ExitCode() { return shape_misses > 0 ? 1 : 0; }
 
 /// Bench-tuned FastFT configuration (scaled-down schedule of the paper's
 /// 200×15; see DESIGN.md).

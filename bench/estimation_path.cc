@@ -174,10 +174,10 @@ int main_impl() {
   bench::ShapeCheck(simd_identical,
                     "vector kernels reproduce scalar-kernel scores bit for "
                     "bit (FASTFT_SIMD on vs off)");
-  bench::ShapeCheck(step_speedup >= 2.0,
-                    "prefix cache >= 2x per-step estimation speedup for "
-                    "sequences >= " + std::to_string(kLongStep) + " tokens");
-  return (step_identical && simd_identical) ? 0 : 1;
+  bench::TimingCheck(step_speedup >= 2.0,
+                     "prefix cache >= 2x per-step estimation speedup for "
+                     "sequences >= " + std::to_string(kLongStep) + " tokens");
+  return bench::ExitCode();
 }
 
 }  // namespace

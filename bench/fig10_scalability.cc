@@ -63,15 +63,15 @@ int main_impl() {
               "CAAFE %.1fx\n",
               fastft_growth, openfe_growth, caafe_growth);
 
-  bench::ShapeCheck(fastft_growth < openfe_growth,
-                    "FastFT's runtime grows slower with size than OpenFE's");
-  bench::ShapeCheck(caafe_growth < openfe_growth,
-                    "CAAFE's constant LLM latency amortizes: slower growth "
-                    "than OpenFE, but a high floor");
-  bench::ShapeCheck(caafe_t.front() > fastft_t.front(),
-                    "on small datasets CAAFE is the slowest (LLM overhead "
-                    "dominates)");
-  return 0;
+  bench::TimingCheck(fastft_growth < openfe_growth,
+                     "FastFT's runtime grows slower with size than OpenFE's");
+  bench::TimingCheck(caafe_growth < openfe_growth,
+                     "CAAFE's constant LLM latency amortizes: slower growth "
+                     "than OpenFE, but a high floor");
+  bench::TimingCheck(caafe_t.front() > fastft_t.front(),
+                     "on small datasets CAAFE is the slowest (LLM overhead "
+                     "dominates)");
+  return bench::ExitCode();
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ int main_impl() {
   }
   bench::ShapeCheck(hi - lo < 0.08,
                     "score fluctuates only mildly for α in [5, 20]");
-  return 0;
+  return bench::ExitCode();
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ int main_impl() {
   bench::ShapeCheck(small_mean >= large_mean - 0.02,
                     "small memories (S<=16) are as good as large ones "
                     "(paper: no benefit from arbitrarily large S)");
-  return 0;
+  return bench::ExitCode();
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ int main_impl() {
   bench::ShapeCheck(with.best_score >= without.best_score - 0.02,
                     "higher-novelty exploration does not cost downstream "
                     "performance (paper: it improves it)");
-  return 0;
+  return bench::ExitCode();
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ int main_impl() {
                     "(paper: e.g. Weight/(Active*DBP))");
   bench::ShapeCheck(r.best_score > r.base_score,
                     "peak features improve the downstream task");
-  return stream_matches ? 0 : 1;
+  return bench::ExitCode();
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ int main_impl() {
   bench::ShapeCheck(full_best >= 3,
                     "full FASTFT matches or beats the -RCT and -NE ablations "
                     "on nearly every dataset");
-  return 0;
+  return bench::ExitCode();
 }
 
 }  // namespace

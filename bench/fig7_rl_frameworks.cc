@@ -52,7 +52,7 @@ int main_impl() {
   bench::ShapeCheck(ac_best,
                     "Actor-Critic ends at (or within noise of) the best "
                     "final score among all frameworks");
-  return 0;
+  return bench::ExitCode();
 }
 
 }  // namespace

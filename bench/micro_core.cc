@@ -133,7 +133,6 @@ int KernelGate() {
   std::vector<double> bias = GateVec(mv_rows, &rng);
   std::vector<double> z = GateVec(mv_cols, &rng);
   std::vector<double> x = GateVec(vec_n, &rng);
-  std::vector<double> y = GateVec(vec_n, &rng);
   std::vector<double> out(static_cast<size_t>(m) * n);
   std::vector<double> small_out(std::max(mv_rows, vec_n));
 
@@ -168,9 +167,6 @@ int KernelGate() {
   results.push_back(RunKernelGate("axpy", false, 8000, &small_out, [&] {
     std::fill(small_out.begin(), small_out.end(), 0.0);
     simd::Axpy(1.25, x.data(), small_out.data(), vec_n);
-  }));
-  results.push_back(RunKernelGate("dot", false, 8000, &small_out, [&] {
-    small_out[0] = simd::Dot(x.data(), y.data(), vec_n);
   }));
   results.push_back(RunKernelGate("sum_and_sumsq", false, 8000, &small_out,
                                   [&] {

@@ -1,17 +1,16 @@
 // Parallel evaluation pipeline: serial vs multi-threaded wall clock on the
 // Table I evaluation workload, asserting bit-identical metric values.
 //
-// Three layers of the pipeline are timed:
-//   batch — independent candidate datasets fan out (Evaluator::EvaluateBatch,
-//           the engine's guarded candidate-scoring path),
-//   folds — one dataset's k folds fan out (Evaluator::Evaluate),
+// Two layers of the pipeline are timed:
+//   folds  — one dataset's k folds fan out (Evaluator::Evaluate), the one
+//            level the shared pool runs,
 //   engine — a full FastFT run, num_threads 1 vs N.
 //
 // Determinism is the hard requirement: every parallel score must equal its
-// serial counterpart bit for bit (per-fold/per-tree seeds are derived up
-// front; reductions run in index order). The >= 2x speedup shape check needs
-// real cores and is skipped (reported, not asserted) on machines with fewer
-// than 2 hardware threads.
+// serial counterpart bit for bit (per-fold seeds are derived up front;
+// reductions run in fold order). The >= 2x fold speedup is a timing check:
+// it is printed, never gated, and skipped on machines with fewer than 2
+// hardware threads.
 
 #include <cinttypes>
 
@@ -24,14 +23,6 @@ namespace fastft {
 namespace {
 
 constexpr int kThreads = 4;
-
-bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
 
 int main_impl() {
   bench::PrintTitle("Parallel evaluation — serial vs " +
@@ -48,64 +39,31 @@ int main_impl() {
   EvaluatorConfig parallel_config = serial_config;
   parallel_config.num_threads = kThreads;
 
-  // --- Layer 1: batched candidate scoring. -------------------------------
-  // Candidate feature sets of equal cost (synthetic classification at Table
-  // I scale), exactly what the engine's guarded batch path dispatches.
-  const int candidates = bench::FullMode() ? 24 : 12;
-  std::vector<Dataset> batch;
-  for (int i = 0; i < candidates; ++i) {
-    SyntheticSpec spec;
-    spec.samples = 300;
-    spec.features = 10;
-    spec.seed = 1000 + static_cast<uint64_t>(i);
-    batch.push_back(MakeClassification(spec));
-  }
-  std::vector<const Dataset*> batch_ptrs;
-  for (const Dataset& d : batch) batch_ptrs.push_back(&d);
-
   Evaluator serial_eval(serial_config);
   Evaluator parallel_eval(parallel_config);
 
-  WallTimer timer;
-  std::vector<double> serial_scores;
-  for (const Dataset* d : batch_ptrs) {
-    serial_scores.push_back(serial_eval.Evaluate(*d));
-  }
-  const double batch_serial_s = timer.Seconds();
-
-  timer.Restart();
-  std::vector<double> parallel_scores = parallel_eval.EvaluateBatch(batch_ptrs);
-  const double batch_parallel_s = timer.Seconds();
-
-  const bool batch_identical = BitIdentical(serial_scores, parallel_scores);
-  const double batch_speedup =
-      batch_parallel_s > 0 ? batch_serial_s / batch_parallel_s : 0.0;
-  std::printf("batch   %3d candidates   serial %.3fs   %d-thread %.3fs   "
-              "speedup %.2fx   scores %s\n",
-              candidates, batch_serial_s, kThreads, batch_parallel_s,
-              batch_speedup, batch_identical ? "bit-identical" : "DIFFER");
-
-  // --- Layer 2: fold-level fan-out on one dataset. -----------------------
+  // --- Layer 1: fold-level fan-out on one dataset. -----------------------
   SyntheticSpec big;
   big.samples = 1200;
   big.features = 12;
   big.seed = 77;
   Dataset large = MakeClassification(big);
 
-  timer.Restart();
+  WallTimer timer;
   const double fold_serial_score = serial_eval.Evaluate(large);
   const double fold_serial_s = timer.Seconds();
   timer.Restart();
   const double fold_parallel_score = parallel_eval.Evaluate(large);
   const double fold_parallel_s = timer.Seconds();
   const bool fold_identical = fold_serial_score == fold_parallel_score;
+  const double fold_speedup =
+      fold_parallel_s > 0 ? fold_serial_s / fold_parallel_s : 0.0;
   std::printf("folds   %4d rows x 3     serial %.3fs   %d-thread %.3fs   "
               "speedup %.2fx   scores %s\n",
               big.samples, fold_serial_s, kThreads, fold_parallel_s,
-              fold_parallel_s > 0 ? fold_serial_s / fold_parallel_s : 0.0,
-              fold_identical ? "bit-identical" : "DIFFER");
+              fold_speedup, fold_identical ? "bit-identical" : "DIFFER");
 
-  // --- Layer 3: full engine run. -----------------------------------------
+  // --- Layer 2: full engine run. -----------------------------------------
   SyntheticSpec engine_spec;
   engine_spec.samples = 200;
   engine_spec.features = 8;
@@ -146,19 +104,19 @@ int main_impl() {
               engine_identical ? "bit-identical" : "DIFFERS",
               serial_run.downstream_evaluations);
 
-  bench::ShapeCheck(batch_identical && fold_identical && engine_identical,
+  bench::ShapeCheck(fold_identical && engine_identical,
                     "parallel evaluation reproduces serial metric values bit "
                     "for bit at every layer");
   if (hardware >= 2) {
-    bench::ShapeCheck(batch_speedup >= 2.0,
-                      "batched candidate scoring >= 2x faster at " +
-                          std::to_string(kThreads) + " threads");
+    bench::TimingCheck(fold_speedup >= 2.0,
+                       "fold-parallel evaluation >= 2x faster at " +
+                           std::to_string(kThreads) + " threads");
   } else {
     std::printf("paper-shape check: [SKIP] >= 2x speedup needs >= 2 hardware "
                 "threads (this host has %d; determinism still asserted)\n",
                 hardware);
   }
-  return (batch_identical && fold_identical && engine_identical) ? 0 : 1;
+  return bench::ExitCode();
 }
 
 }  // namespace

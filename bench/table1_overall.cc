@@ -88,7 +88,7 @@ int main_impl() {
   bench::ShapeCheck(significant >= static_cast<int>(methods.size()) - 2,
                     "FastFT superiority significant (p < 0.05) for nearly "
                     "all baselines");
-  return 0;
+  return bench::ExitCode();
 }
 
 }  // namespace

@@ -87,16 +87,16 @@ int main_impl() {
   }
 
   std::printf("\n");
-  bench::ShapeCheck(all_eval_dominant,
-                    "evaluation dominates FASTFT^-PP runtime on every "
-                    "dataset (paper: up to ~95%)");
-  bench::ShapeCheck(all_saving && savings.back() > 0.5,
-                    "the predictor saves runtime everywhere, over half on "
-                    "the largest dataset (paper: 61-81%)");
-  bench::ShapeCheck(savings.back() > savings.front(),
-                    "the saving grows with dataset size (paper: larger "
-                    "datasets benefit more)");
-  return 0;
+  bench::TimingCheck(all_eval_dominant,
+                     "evaluation dominates FASTFT^-PP runtime on every "
+                     "dataset (paper: up to ~95%)");
+  bench::TimingCheck(all_saving && savings.back() > 0.5,
+                     "the predictor saves runtime everywhere, over half on "
+                     "the largest dataset (paper: 61-81%)");
+  bench::TimingCheck(savings.back() > savings.front(),
+                     "the saving grows with dataset size (paper: larger "
+                     "datasets benefit more)");
+  return bench::ExitCode();
 }
 
 }  // namespace

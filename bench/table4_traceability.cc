@@ -119,7 +119,7 @@ int main_impl() {
   bench::ShapeCheck(final_best == result.best_score,
                     "the stream's episode marks reproduce the final best "
                     "score bit for bit");
-  return attributed_steps == generative_steps ? 0 : 1;
+  return bench::ExitCode();
 }
 
 }  // namespace

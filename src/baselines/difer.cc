@@ -68,10 +68,9 @@ BaselineResult DiferBaseline::Run(const Dataset& dataset) {
   result.score = result.base_score;
   result.best_dataset = dataset;
 
-  // Phase 1: random collection of (expression, score) pairs. The candidate
-  // expressions are drawn up front (the rng stream does not depend on the
-  // scores), so their downstream evaluations are independent and batch
-  // across the shared pool — scores are identical to the serial loop.
+  // Phase 1: random collection of (expression, score) pairs. Every
+  // candidate expression is drawn before any is scored, so the rng stream
+  // does not depend on the scores.
   struct Scored {
     ExprPtr expr;
     double score;
@@ -80,20 +79,14 @@ BaselineResult DiferBaseline::Run(const Dataset& dataset) {
   std::vector<SequenceRecord> records;
   const int collect = std::max(6, config_.iterations / 3);
   std::vector<ExprPtr> drawn;
-  std::vector<Dataset> trials;
   drawn.reserve(collect);
-  trials.reserve(collect);
   for (int i = 0; i < collect; ++i) {
     drawn.push_back(RandomExpr(dataset.NumFeatures(), 3, &rng));
-    trials.push_back(WithExpression(dataset, drawn.back()));
   }
-  std::vector<const Dataset*> trial_ptrs;
-  trial_ptrs.reserve(trials.size());
-  for (const Dataset& trial : trials) trial_ptrs.push_back(&trial);
-  std::vector<double> trial_scores = evaluator.EvaluateBatch(trial_ptrs);
-  for (int i = 0; i < collect; ++i) {
-    pool.push_back({drawn[i], trial_scores[i]});
-    records.push_back({tokenizer.EncodeExpr(drawn[i]), trial_scores[i]});
+  for (const ExprPtr& expr : drawn) {
+    const double score = evaluator.Evaluate(WithExpression(dataset, expr));
+    pool.push_back({expr, score});
+    records.push_back({tokenizer.EncodeExpr(expr), score});
   }
 
   // Phase 2: surrogate training on the collected embeddings.
@@ -128,22 +121,14 @@ BaselineResult DiferBaseline::Run(const Dataset& dataset) {
               [](const Ranked& a, const Ranked& b) {
                 return a.predicted > b.predicted;
               });
-    // The surrogate-ranked top slice is evaluated as one independent batch.
+    // Only the surrogate's top picks pay for a downstream evaluation.
     const int evals =
         std::min(evals_per_round, static_cast<int>(mutants.size()));
-    std::vector<Dataset> mutant_trials;
-    mutant_trials.reserve(evals);
     for (int e = 0; e < evals; ++e) {
-      mutant_trials.push_back(WithExpression(dataset, mutants[e].expr));
-    }
-    std::vector<const Dataset*> mutant_ptrs;
-    mutant_ptrs.reserve(mutant_trials.size());
-    for (const Dataset& trial : mutant_trials) mutant_ptrs.push_back(&trial);
-    std::vector<double> mutant_scores = evaluator.EvaluateBatch(mutant_ptrs);
-    for (int e = 0; e < evals; ++e) {
-      pool.push_back({mutants[e].expr, mutant_scores[e]});
-      records.push_back(
-          {tokenizer.EncodeExpr(mutants[e].expr), mutant_scores[e]});
+      const double score =
+          evaluator.Evaluate(WithExpression(dataset, mutants[e].expr));
+      pool.push_back({mutants[e].expr, score});
+      records.push_back({tokenizer.EncodeExpr(mutants[e].expr), score});
     }
     surrogate.Finetune(records);
     std::sort(pool.begin(), pool.end(), [](const Scored& a, const Scored& b) {

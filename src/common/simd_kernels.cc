@@ -144,8 +144,8 @@ void MatMulTransposeScalar(const double* a, const double* b, double* out,
 constexpr KernelTable kScalarTable = {
     MatMulScalar,      TransposeMatMulScalar, AxpyScalar,
     AddScalar,         SubScalar,             AdamStepScalar,
-    DotScalar,         SumAndSumSqScalar,     MatVecScalar,
-    MatMulTransposeScalar, "scalar",
+    SumAndSumSqScalar, MatVecScalar,          MatMulTransposeScalar,
+    "scalar",
 };
 
 std::atomic<bool> g_enabled{true};
@@ -225,10 +225,6 @@ void Sub(const double* a, const double* b, double* out, int n) {
 void AdamStep(const AdamCoeffs& c, double* value, double* grad, double* m,
               double* v, int n) {
   Active().adam_step(c, value, grad, m, v, n);
-}
-
-double Dot(const double* a, const double* b, int n) {
-  return Active().dot(a, b, n);
 }
 
 void SumAndSumSq(const double* v, int n, double* sum, double* sumsq) {

@@ -18,7 +18,7 @@
 //      change which elements are in flight together, so these are bitwise
 //      equal to the naive scalar kernel on any ISA.
 //
-//   B. Lane-split reductions (Dot, SumAndSumSq, MatVec, MatMulTranspose):
+//   B. Lane-split reductions (SumAndSumSq, MatVec, MatMulTranspose):
 //      a single sum is accumulated in kLanes (= 4) fixed *logical* lanes —
 //      element i goes to lane i % kLanes, the tail keeps that assignment —
 //      and the lanes are combined in ascending order at the end:
@@ -103,19 +103,16 @@ void AdamStepScalar(const AdamCoeffs& c, double* value, double* grad,
 // --- Family B: lane-split reductions (kLanes logical lanes, ascending
 // lane-order combine) -------------------------------------------------------
 
-/// Lane-split dot product Σ_k a[k] · b[k].
-double Dot(const double* a, const double* b, int n);
-
 /// Lane-split Σ v[i] and Σ v[i]², one pass.
 void SumAndSumSq(const double* v, int n, double* sum, double* sumsq);
 
-/// out[r] = bias[r] + Dot(w row r, z) for r in [0, rows); w is
-/// (rows × cols) row-major, bias may be null (treated as 0).
+/// out[r] = bias[r] + Σ_k w(r, k) · z[k] (lane-split) for r in [0, rows); w
+/// is (rows × cols) row-major, bias may be null (treated as 0).
 void MatVec(const double* w, const double* bias, const double* z, double* out,
             int rows, int cols);
 
-/// out(i, j) = Dot(a row i, b row j) — a·bᵀ without forming the transpose;
-/// a is (m × kdim), b is (n × kdim). out must not alias a or b.
+/// out(i, j) = Σ_k a(i, k) · b(j, k) (lane-split) — a·bᵀ without forming the
+/// transpose; a is (m × kdim), b is (n × kdim). out must not alias a or b.
 void MatMulTranspose(const double* a, const double* b, double* out, int m,
                      int kdim, int n);
 
@@ -130,7 +127,6 @@ struct KernelTable {
   void (*sub)(const double*, const double*, double*, int);
   void (*adam_step)(const AdamCoeffs&, double*, double*, double*, double*,
                     int);
-  double (*dot)(const double*, const double*, int);
   void (*sum_and_sumsq)(const double*, int, double*, double*);
   void (*matvec)(const double*, const double*, const double*, double*, int,
                  int);

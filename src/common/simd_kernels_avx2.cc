@@ -341,8 +341,8 @@ void MatMulTransposeAvx2(const double* a, const double* b, double* out, int m,
 constexpr KernelTable kAvx2Table = {
     MatMulAvx2,      TransposeMatMulAvx2, AxpyAvx2,
     AddAvx2,         SubAvx2,             AdamStepAvx2,
-    DotAvx2,         SumAndSumSqAvx2,     MatVecAvx2,
-    MatMulTransposeAvx2, "avx2",
+    SumAndSumSqAvx2, MatVecAvx2,          MatMulTransposeAvx2,
+    "avx2",
 };
 
 }  // namespace

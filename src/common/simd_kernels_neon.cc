@@ -193,8 +193,8 @@ void MatMulTransposeNeon(const double* a, const double* b, double* out, int m,
 constexpr KernelTable kNeonTable = {
     MatMulNeon,      TransposeMatMulNeon, AxpyNeon,
     AddNeon,         SubNeon,             AdamStepScalar,
-    DotNeon,         SumAndSumSqNeon,     MatVecNeon,
-    MatMulTransposeNeon, "neon",
+    SumAndSumSqNeon, MatVecNeon,          MatMulTransposeNeon,
+    "neon",
 };
 
 }  // namespace

@@ -2,10 +2,9 @@
 //
 // The pool exists to make downstream-task evaluation — the wall-clock
 // bottleneck the paper's Performance Predictor attacks (Table II) — run as
-// wide as the hardware allows without changing a single score: k-fold splits
-// and batched candidate datasets are independent units of work whose seeds
-// are derived up front, so any interleaving reproduces the serial results
-// bit for bit.
+// wide as the hardware allows without changing a single score: the k folds
+// of one evaluation are independent units of work whose seeds are derived up
+// front, so any interleaving reproduces the serial results bit for bit.
 //
 // Concurrency model (see DESIGN.md "Concurrency model"):
 //   * One process-wide pool (`ThreadPool::Shared()`), sized to
@@ -13,9 +12,9 @@
 //     `ParallelFor` has one caller: the evaluator (src/ml/evaluator.cc).
 //   * `ParallelFor` is a blocking fork-join: the calling thread participates
 //     in the loop, so progress is guaranteed even when every worker is busy.
-//   * Nested `ParallelFor` calls from inside a worker run inline (serial) —
-//     a batch's candidate-level fan-out subsumes each candidate's fold-level
-//     fan-out instead of deadlocking on the shared queue.
+//   * Nested `ParallelFor` calls from inside a worker run inline (serial).
+//     No in-tree caller nests; a nested call runs inline instead of
+//     deadlocking on the shared queue.
 //   * The first exception thrown by the body is captured and rethrown on the
 //     calling thread after the loop quiesces; remaining indices may be
 //     skipped.

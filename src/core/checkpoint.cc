@@ -83,7 +83,9 @@ uint64_t EngineConfigFingerprint(const EngineConfig& c) {
   w.WriteI32(c.clustering.min_clusters);
   w.WriteI32(c.clustering.max_clusters);
   w.WriteDouble(c.clustering.varsigma);
-  w.WriteI32(c.clustering.mi_bins);
+  // MI bins per column: fixed at kMiBins, still written so existing
+  // checkpoints keep their fingerprint.
+  w.WriteI32(FeatureSpace::kMiBins);
   // Evaluator (thread counts excluded: scores are bit-identical at any).
   w.WriteI32(static_cast<int32_t>(c.evaluator.model));
   w.WriteI32(c.evaluator.folds);

@@ -150,7 +150,7 @@ std::vector<std::vector<int>> ClusterFeatures(const DataFrame& frame,
   std::vector<std::vector<int>> clusters = SingletonClusters(d);
   if (d <= config.min_clusters) return clusters;
 
-  PairwiseMi mi = ComputePairwise(frame, labels, task, config.mi_bins);
+  PairwiseMi mi = ComputePairwise(frame, labels, task, FeatureSpace::kMiBins);
   MergeClusters(&clusters, mi, config);
   return clusters;
 }

@@ -35,24 +35,19 @@ struct ClusteringConfig {
   int max_clusters = 12;
   /// Denominator guard ς of Eq. 2.
   double varsigma = 1e-3;
-  /// Quantile bins per column for the MI terms. Only the DataFrame overload
-  /// reads it: the FeatureSpace overload uses the space's cached
-  /// FeatureSpace::kMiBins-bin statistics, so ValidateEngineConfig rejects
-  /// any other value rather than ignore it.
-  int mi_bins = 8;
 };
 
-/// Clusters the columns of `frame`; returns disjoint index groups covering
-/// all columns.
+/// Clusters the columns of `frame`, with the MI terms binned at
+/// FeatureSpace::kMiBins quantile bins per column; returns disjoint index
+/// groups covering all columns.
 std::vector<std::vector<int>> ClusterFeatures(
     const DataFrame& frame, const std::vector<double>& labels, TaskType task,
     const ClusteringConfig& config = {});
 
 /// Overload over the current columns of a FeatureSpace. Reads the space's
-/// cached LabelRelevance and Redundancy (binned at FeatureSpace::kMiBins,
-/// whatever `config.mi_bins` says), so repeated calls pay only for pairs
-/// with a new column; equal to the DataFrame overload on
-/// `space.ToDataset()` at `mi_bins == kMiBins`.
+/// cached LabelRelevance and Redundancy (binned at FeatureSpace::kMiBins),
+/// so repeated calls pay only for pairs with a new column; equal to the
+/// DataFrame overload on `space.ToDataset()`.
 std::vector<std::vector<int>> ClusterFeatures(
     const FeatureSpace& space, const ClusteringConfig& config = {});
 

@@ -171,13 +171,6 @@ Status ValidateEngineConfig(const EngineConfig& config) {
   require(config.tokenizer_feature_buckets >= 1 &&
               config.tokenizer_max_length >= 1,
           "tokenizer_feature_buckets and tokenizer_max_length must be >= 1");
-  require(config.clustering.mi_bins == FeatureSpace::kMiBins,
-          "clustering.mi_bins must be " +
-              std::to_string(FeatureSpace::kMiBins) +
-              " (the engine clusters on the feature space's cached " +
-              std::to_string(FeatureSpace::kMiBins) +
-              "-bin statistics), got " +
-              std::to_string(config.clustering.mi_bins));
   at_least("num_threads", config.num_threads, 0,
            " (0 = all hardware threads)");
   at_least("prefix_cache_kb", config.prefix_cache_kb, 0,

@@ -89,21 +89,6 @@ DataFrame DataFrame::SelectColumns(const std::vector<int>& indices) const {
   return out;
 }
 
-DataFrame DataFrame::SelectRows(const std::vector<int>& indices) const {
-  DataFrame out;
-  for (int c = 0; c < NumCols(); ++c) {
-    std::vector<double> col;
-    col.reserve(indices.size());
-    for (int r : indices) {
-      FASTFT_CHECK_GE(r, 0);
-      FASTFT_CHECK_LT(r, num_rows_);
-      col.push_back(columns_[c][r]);
-    }
-    FASTFT_CHECK(out.AddColumn(names_[c], std::move(col)).ok());
-  }
-  return out;
-}
-
 std::vector<std::vector<double>> DataFrame::ToRows() const {
   std::vector<std::vector<double>> rows(
       num_rows_, std::vector<double>(columns_.size()));

@@ -54,9 +54,6 @@ class DataFrame {
   /// New frame with only the given column indices, in the given order.
   DataFrame SelectColumns(const std::vector<int>& indices) const;
 
-  /// New frame with only the given row indices, in the given order.
-  DataFrame SelectRows(const std::vector<int>& indices) const;
-
   /// Row-major copy of all values (rows × cols), for model training.
   std::vector<std::vector<double>> ToRows() const;
 

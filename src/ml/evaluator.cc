@@ -189,28 +189,6 @@ double Evaluator::Evaluate(const Dataset& dataset, Metric metric) const {
   return used > 0 ? total / used : std::numeric_limits<double>::quiet_NaN();
 }
 
-std::vector<double> Evaluator::EvaluateBatch(
-    const std::vector<const Dataset*>& datasets) const {
-  FASTFT_TRACE_SPAN("evaluator/batch");
-  // NaN-initialized so a candidate skipped on deadline cannot masquerade as
-  // a legitimate zero score.
-  std::vector<double> scores(datasets.size(),
-                             std::numeric_limits<double>::quiet_NaN());
-  // Candidate-level fan-out; each candidate's fold loop then runs inline on
-  // its worker (nested ParallelFor degrades to serial), so one batch never
-  // oversubscribes the pool.
-  common::ParallelFor(0, static_cast<int64_t>(datasets.size()),
-                      common::ResolveThreadCount(config_.num_threads),
-                      [&](int64_t i) {
-                        if (config_.deadline != nullptr &&
-                            config_.deadline->Expired()) {
-                          return;
-                        }
-                        scores[i] = Evaluate(*datasets[i]);
-                      });
-  return scores;
-}
-
 std::vector<double> Evaluator::FeatureImportance(
     const Dataset& dataset) const {
   ForestConfig fc;

@@ -44,15 +44,15 @@ struct EvaluatorConfig {
   int folds = 3;
   int forest_trees = 8;
   int forest_depth = 6;
-  /// Folds of one Evaluate — and candidates of one EvaluateBatch — scored
-  /// concurrently on the shared pool. 1 = serial, 0 = all hardware threads.
-  /// Scores are bit-identical for any value (per-fold seeds are derived up
-  /// front and the reduction runs in fold order).
+  /// Folds of one Evaluate scored concurrently on the shared pool. 1 =
+  /// serial, 0 = all hardware threads. Scores are bit-identical for any
+  /// value (per-fold seeds are derived up front and the reduction runs in
+  /// fold order).
   int num_threads = 1;
   /// Optional cooperative deadline (borrowed; may be null). When expired,
-  /// remaining folds/candidates are skipped: Evaluate returns NaN for the
-  /// skipped work instead of blocking until completion. Callers that see the
-  /// deadline expired must discard the batch — partially-skipped scores are
+  /// remaining folds are skipped: Evaluate returns NaN when every fold was
+  /// skipped instead of blocking until completion. Callers that see the
+  /// deadline expired must discard the score — partially-skipped scores are
   /// NOT deterministic across thread counts.
   const common::DeadlineToken* deadline = nullptr;
   uint64_t seed = 100;
@@ -77,20 +77,13 @@ class Evaluator {
   /// skipped, as above).
   double Evaluate(const Dataset& dataset, Metric metric) const;
 
-  /// Scores independent candidate datasets (default metric each),
-  /// index-aligned with the input. Candidates fan out across the shared
-  /// pool (config().num_threads executors); each result is bit-identical
-  /// to a serial Evaluate call on the same candidate.
-  std::vector<double> EvaluateBatch(
-      const std::vector<const Dataset*>& datasets) const;
-
   /// Impurity feature importances from a random forest fit on all rows,
   /// presorted straight from the dataset's columns.
   std::vector<double> FeatureImportance(const Dataset& dataset) const;
 
   /// Work done by Evaluate since construction. Each count is a relaxed
-  /// atomic: Evaluate may run concurrently from EvaluateBatch workers, and
-  /// its folds from pool workers. FeatureImportance counts nothing.
+  /// atomic, because Evaluate's folds count from pool workers.
+  /// FeatureImportance counts nothing.
   ///
   /// Evaluate calls (each a full k-fold fit).
   int64_t evaluation_count() const {

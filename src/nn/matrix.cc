@@ -111,7 +111,7 @@ void Matrix::MatMulTransposeInto(const Matrix& other, Matrix* out) const {
   Reshape(m, n, out);
   // Row-times-row dot products: both operands stream contiguously. This is
   // the one product kernel on the family-B (lane-split) reduction order —
-  // out(i, j) is a simd::Dot, not a single ascending-k chain — so it is NOT
+  // out(i, j) is a lane-split sum, not one ascending-k chain — so it is NOT
   // bitwise equal to MatMul(other.Transpose()); it is bitwise equal to
   // itself across scalar/AVX2/NEON and thread counts, which is the contract.
   simd::MatMulTranspose(data(), other.data(), out->data(), m, kdim, n);

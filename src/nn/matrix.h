@@ -83,7 +83,8 @@ class Matrix {
 
   /// this * otherᵀ without forming the transpose:
   /// out(i, j) = Σ_k this(i, k) · other(j, k) as a lane-split reduction
-  /// (simd::Dot) — deterministic, but a different float order than MatMul.
+  /// (simd::MatMulTranspose) — deterministic, but a different float order
+  /// than MatMul.
   Matrix MatMulTranspose(const Matrix& other) const;
   void MatMulTransposeInto(const Matrix& other, Matrix* out) const;
 

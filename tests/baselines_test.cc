@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "baselines/baseline.h"
 #include "data/synthetic.h"
 
@@ -124,6 +129,46 @@ TEST(BaselineBehaviorTest, DetectionTaskSupported) {
   for (const char* name : {"RFG", "ERG", "OpenFE"}) {
     BaselineResult r = MakeBaseline(name, FastConfig(17))->Run(ds);
     EXPECT_GT(r.score, 0.0) << name;
+  }
+}
+
+// --- Pinned DIFER bits --------------------------------------------------------
+//
+// Exact IEEE-754 bits of DIFER's base and final scores on one classification
+// and one regression dataset, with the evaluator's folds serial and on the
+// pool. DIFER scores many candidate expressions one k-fold evaluation each;
+// any change to how those candidates are drawn, scored or ranked that moves a
+// single bit fails here.
+
+std::string Hex(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(v)));
+  return buffer;
+}
+
+#define EXPECT_BITS(expected, actual)                                     \
+  EXPECT_EQ(Hex(std::bit_cast<double>(uint64_t{expected})), Hex(actual)) \
+      << #actual
+
+TEST(DiferGoldenBitsTest, ScoresArePinnedAtOneAndFourThreads) {
+  SyntheticSpec spec;
+  spec.samples = 110;
+  spec.features = 6;
+  const Dataset regression = MakeRegression(spec);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    BaselineConfig cfg = FastConfig(42);
+    cfg.evaluator.num_threads = threads;
+    const BaselineResult c = MakeBaseline("DIFER", cfg)->Run(SmallDataset());
+    EXPECT_BITS(0x3fe6cbd323989ff0, c.base_score);
+    EXPECT_BITS(0x3fe79ff509ece463, c.score);
+
+    cfg = FastConfig(11);
+    cfg.evaluator.num_threads = threads;
+    const BaselineResult r = MakeBaseline("DIFER", cfg)->Run(regression);
+    EXPECT_BITS(0x3fb755eef0792178, r.base_score);
+    EXPECT_BITS(0x3fc4b1ecf0c1b96a, r.score);
   }
 }
 

@@ -70,14 +70,6 @@ TEST(DataFrameTest, SelectColumnsReorders) {
   EXPECT_DOUBLE_EQ(g.At(0, 1), 1.0);
 }
 
-TEST(DataFrameTest, SelectRowsSubsets) {
-  DataFrame f = MakeFrame();
-  DataFrame g = f.SelectRows({2, 0});
-  EXPECT_EQ(g.NumRows(), 2);
-  EXPECT_DOUBLE_EQ(g.At(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(g.At(1, 0), 1.0);
-}
-
 TEST(DataFrameTest, ToRowsRoundTrip) {
   DataFrame f = MakeFrame();
   auto rows = f.ToRows();

@@ -258,22 +258,6 @@ TEST(EngineTest, TrainingSpansNestInColdStartAndFinetune) {
   }
 }
 
-TEST(EngineTest, MiBinsMustMatchTheFeatureSpaceBins) {
-  // The engine clusters on the feature space's cached 8-bin statistics, so
-  // any other clustering.mi_bins is rejected instead of silently ignored.
-  EngineConfig cfg = FastConfig();
-  cfg.episodes = 2;
-  cfg.clustering.mi_bins = 16;
-  Result<EngineResult> rejected = FastFtEngine(cfg).Run(SmallDataset());
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("clustering.mi_bins must be 8"),
-            std::string::npos)
-      << rejected.status().ToString();
-  cfg.clustering.mi_bins = FeatureSpace::kMiBins;
-  EXPECT_TRUE(FastFtEngine(cfg).Run(SmallDataset()).ok());
-}
-
 TEST(EngineTest, NoveltyMetricsCollectedOnDemand) {
   EngineConfig cfg = FastConfig();
   cfg.collect_novelty_metrics = true;

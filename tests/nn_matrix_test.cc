@@ -136,7 +136,7 @@ TEST(MatrixTest, BlockedKernelsBitIdenticalToMaterializedForms) {
   // a · bᵀ without materializing the transpose. MatMulTranspose is a
   // family-B lane-split reduction (see common/simd_kernels.h), so the
   // reference is the lane-ordered dot, not MatMul(rhs.Transpose()) — the
-  // two differ in float order by design. simd::Dot's own scalar/vector
+  // two differ in float order by design. The kernel's own scalar/vector
   // identity is covered by simd_kernels_test.
   Matrix rhs = Matrix::Randn(n, k, 1.0, &rng);
   Matrix fused_bt = a.MatMulTranspose(rhs);

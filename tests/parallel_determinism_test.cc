@@ -73,27 +73,6 @@ TEST(ParallelDeterminismTest, SharedPresortIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminismTest, EvaluateBatchMatchesSerialLoop) {
-  std::vector<Dataset> candidates;
-  for (int i = 0; i < 8; ++i) {
-    candidates.push_back(Classification(160, 100 + static_cast<uint64_t>(i)));
-  }
-  std::vector<const Dataset*> ptrs;
-  for (const Dataset& d : candidates) ptrs.push_back(&d);
-
-  Evaluator serial(EvalConfig(1));
-  Evaluator parallel(EvalConfig(4));
-  std::vector<double> expected;
-  for (const Dataset* d : ptrs) expected.push_back(serial.Evaluate(*d));
-  std::vector<double> batch = parallel.EvaluateBatch(ptrs);
-
-  ASSERT_EQ(batch.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(batch[i], expected[i]) << "candidate " << i;
-  }
-  EXPECT_EQ(parallel.evaluation_count(), static_cast<int64_t>(ptrs.size()));
-}
-
 TEST(ParallelDeterminismTest, EngineRunIsBitIdenticalAcrossThreadCounts) {
   SyntheticSpec spec;
   spec.samples = 140;

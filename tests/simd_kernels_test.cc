@@ -191,12 +191,13 @@ TEST(SimdKernelsTest, ReductionsBitIdenticalToScalarAcrossTailLengths) {
   for (int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 31, 64, 67}) {
     std::vector<double> a = RandomVec(n, &rng);
     std::vector<double> b = RandomVec(n, &rng);
+    double vec_dot = 0.0, scalar_dot = 0.0;
     simd::SetEnabled(true);
-    const double vec_dot = simd::Dot(a.data(), b.data(), n);
+    simd::MatMulTranspose(a.data(), b.data(), &vec_dot, 1, n, 1);
     double vec_sum = 0.0, vec_sumsq = 0.0;
     simd::SumAndSumSq(a.data(), n, &vec_sum, &vec_sumsq);
     simd::SetEnabled(false);
-    const double scalar_dot = simd::Dot(a.data(), b.data(), n);
+    simd::MatMulTranspose(a.data(), b.data(), &scalar_dot, 1, n, 1);
     double scalar_sum = 0.0, scalar_sumsq = 0.0;
     simd::SumAndSumSq(a.data(), n, &scalar_sum, &scalar_sumsq);
     ASSERT_EQ(vec_dot, scalar_dot) << "Dot n=" << n;
@@ -238,9 +239,10 @@ TEST(SimdKernelsTest, MatVecAndMatMulTransposeBitIdenticalToScalar) {
 }
 
 TEST(SimdKernelsTest, DotFollowsTheLaneSplitSpec) {
-  // The family-B contract pinned down independently of any backend:
-  // element i accumulates into logical lane i % kLanes and lanes combine in
-  // ascending order. If this test fails the *spec* changed, not a backend.
+  // The family-B contract pinned down independently of any backend, on the
+  // 1 x 1 MatMulTranspose (one dot product): element i accumulates into
+  // logical lane i % kLanes and lanes combine in ascending order. If this
+  // test fails the *spec* changed, not a backend.
   Rng rng(106);
   for (int n : {1, 5, 8, 11, 32, 37}) {
     std::vector<double> a = RandomVec(n, &rng);
@@ -251,7 +253,9 @@ TEST(SimdKernelsTest, DotFollowsTheLaneSplitSpec) {
     for (bool enabled : {true, false}) {
       SimdToggleGuard guard;
       simd::SetEnabled(enabled);
-      EXPECT_EQ(simd::Dot(a.data(), b.data(), n), expected) << "n=" << n;
+      double dot = 0.0;
+      simd::MatMulTranspose(a.data(), b.data(), &dot, 1, n, 1);
+      EXPECT_EQ(dot, expected) << "n=" << n;
     }
   }
 }
@@ -276,7 +280,9 @@ TEST(SimdKernelsTest, ZeroTimesNonFinitePropagatesNaN) {
 
     std::vector<double> zero(5, 0.0);
     std::vector<double> with_inf = {1.0, 2.0, kInf, 3.0, 4.0};
-    EXPECT_TRUE(std::isnan(simd::Dot(zero.data(), with_inf.data(), 5)));
+    double dot = 0.0;
+    simd::MatMulTranspose(zero.data(), with_inf.data(), &dot, 1, 5, 1);
+    EXPECT_TRUE(std::isnan(dot));
 
     std::vector<double> y(5, 1.0);
     simd::Axpy(0.0, with_inf.data(), y.data(), 5);

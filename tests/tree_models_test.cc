@@ -330,7 +330,8 @@ TEST(PresortedDataTest, FoldViewMatchesFreshPresort) {
     SCOPED_TRACE("dataset " + std::to_string(d));
     const Dataset& ds = datasets[d];
     const PresortedData full(ds.features, ds.labels);
-    ExpectSamePresort(full, PresortedData(ds.features.ToRows(), ds.labels));
+    const Rows all_rows = ds.features.ToRows();
+    ExpectSamePresort(full, PresortedData(all_rows, ds.labels));
 
     std::vector<std::vector<int>> subsets;
     for (int folds : {2, 3, 4, 5}) {
@@ -357,11 +358,13 @@ TEST(PresortedDataTest, FoldViewMatchesFreshPresort) {
     for (size_t i = 0; i < subsets.size(); ++i) {
       SCOPED_TRACE("subset " + std::to_string(i));
       const std::vector<int>& rows = subsets[i];
+      Rows x;
       std::vector<double> labels;
-      for (int r : rows) labels.push_back(ds.labels[r]);
-      ExpectSamePresort(
-          PresortedData(full, rows),
-          PresortedData(ds.features.SelectRows(rows).ToRows(), labels));
+      for (int r : rows) {
+        x.push_back(all_rows[r]);
+        labels.push_back(ds.labels[r]);
+      }
+      ExpectSamePresort(PresortedData(full, rows), PresortedData(x, labels));
     }
   }
 }

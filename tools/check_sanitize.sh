@@ -33,8 +33,9 @@
 # tools/check_crash.sh, so kill-and-resume checkpointing (atomic writes,
 # restore paths, threaded resume) is exercised under TSan too, and
 # tools/check_record.sh, so a recorded run (per-episode event buffering,
-# stream flushes, fastft_inspect decode) sees the race detector as well. (Every leg's ctest pass already includes the `check_crash` and
-# `check_record` cases against that tree's sanitized CLI.)
+# stream flushes, fastft_inspect decode) sees the race detector as well.
+# (Every leg's ctest pass already includes the `check_crash`,
+# `check_record` and `check_trace` cases against that tree's sanitized CLI.)
 #
 # Every step of every leg runs even when an earlier one fails, so one known
 # test failure cannot hide the race checks behind it. Failed steps are

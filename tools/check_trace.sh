@@ -8,8 +8,9 @@
 #   $ tools/check_trace.sh                        # uses build/tools/fastft
 #   $ tools/check_trace.sh build-thread/tools/fastft
 #
-# Wired into the TSan leg of tools/check_sanitize.sh so a traced run is
-# also exercised under the race detector.
+# Registered as the `check_trace` ctest case, and re-run by the TSan leg of
+# tools/check_sanitize.sh so a traced run is also exercised under the race
+# detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
