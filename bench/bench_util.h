@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -100,11 +101,38 @@ inline BaselineConfig DefaultBaselineConfig(uint64_t seed) {
 /// know).
 inline constexpr int kLedgerVersion = 1;
 
+/// The standard output of the shell command `command`, or nullopt when it
+/// could not run or exited non-zero.
+inline std::optional<std::string> CommandOutput(const char* command) {
+  FILE* pipe = popen(command, "r");
+  if (pipe == nullptr) return std::nullopt;
+  std::string out;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) out += buffer;
+  if (pclose(pipe) != 0) return std::nullopt;
+  return out;
+}
+
+/// The commit of the repository the ledger is written into (the working
+/// directory): `git rev-parse HEAD`, suffixed "-dirty" when a tracked file
+/// differs from it, or "unstamped" outside git.
+inline std::string LedgerCommit() {
+  std::optional<std::string> head =
+      CommandOutput("git rev-parse HEAD 2>/dev/null");
+  if (!head || head->empty()) return "unstamped";
+  std::string commit = head->substr(0, head->find('\n'));
+  std::optional<std::string> changes =
+      CommandOutput("git status --porcelain --untracked-files=no 2>/dev/null");
+  if (!changes || !changes->empty()) commit += "-dirty";
+  return commit;
+}
+
 /// Wraps one bench's JSON payload in the cross-run perf-ledger envelope and
 /// persists it atomically. Every committed BENCH_*.json carries the same
-/// provenance header — schema version, SIMD backend, worker-thread count —
-/// so tools/bench_ledger.py can validate, diff, and regression-gate runs
-/// without per-bench knowledge. `payload` must be a complete JSON value.
+/// provenance header — schema version, SIMD backend, worker-thread count,
+/// commit — so tools/bench_ledger.py can validate, diff, and
+/// regression-gate runs without per-bench knowledge. `payload` must be a
+/// complete JSON value.
 inline void PersistLedger(const std::string& file, const std::string& bench,
                           const std::string& payload) {
   std::ostringstream json;
@@ -112,6 +140,7 @@ inline void PersistLedger(const std::string& file, const std::string& bench,
        << "  \"bench\": \"" << bench << "\",\n"
        << "  \"backend\": \"" << simd::ActiveBackend() << "\",\n"
        << "  \"threads\": " << BenchThreads() << ",\n"
+       << "  \"commit\": \"" << LedgerCommit() << "\",\n"
        << "  \"payload\": " << payload << "\n}\n";
   Status wrote = common::AtomicWriteFile(file, json.str());
   if (!wrote.ok()) {

@@ -848,9 +848,9 @@ void WriteSnapshot(RunContext& ctx, EngineState& s) {
 }
 
 // Episode boundary: flush the episode's decision events, then snapshot the
-// state. Only completed episodes get here — an interrupted one replays on
-// resume, so its partial events stay pending and die with the stream (a
-// flush would duplicate them after the resume).
+// state when the snapshot can be read. Only completed episodes get here —
+// an interrupted one replays on resume, so its partial events stay pending
+// and die with the stream (a flush would duplicate them after the resume).
 void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
   const EngineConfig& config = ctx.config;
   EngineResult& result = s.result;
@@ -875,6 +875,15 @@ void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
   }
   s.run.next_episode = episode + 1;
   if (config.checkpoint_path.empty()) return;
+  // Serialize only a snapshot something can read: one written now, or one
+  // Finish() writes. A run without a budget or cancel flag reaches Finish()
+  // only after its last episode (a kill resumes from the file on disk), so
+  // only that boundary's snapshot can still be written there.
+  const bool write_due =
+      (episode + 1) % config.checkpoint_every_episodes == 0;
+  const bool interruptible =
+      config.wall_clock_budget_ms > 0 || config.cancel_flag != nullptr;
+  if (!write_due && !interruptible && episode + 1 < config.episodes) return;
   {
     obs::TraceSpan phase("engine/checkpoint_serialize",
                          &result.times.checkpoint_ns);
@@ -882,9 +891,7 @@ void EndEpisode(RunContext& ctx, EngineState& s, int episode) {
         SerializeEngineState(config, s, ctx.last_snapshot.size());
   }
   ctx.snapshot_dirty = true;
-  if ((episode + 1) % config.checkpoint_every_episodes == 0) {
-    WriteSnapshot(ctx, s);
-  }
+  if (write_due) WriteSnapshot(ctx, s);
 }
 
 // End of run: put the newest boundary state on disk — whether the run
@@ -927,7 +934,8 @@ FastFtEngine::FastFtEngine(EngineConfig config) : config_(std::move(config)) {}
 // Algorithms 1 and 2: cold-start episodes explore with downstream feedback
 // and end by training the evaluation components; warm episodes estimate,
 // trigger and optimize, and finetune periodically. Every completed episode
-// ends at a boundary that flushes the record stream and snapshots the state.
+// ends at a boundary that flushes the record stream and, when the snapshot
+// can be read, snapshots the state.
 Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
   Status dataset_status = dataset.Validate();
   if (!dataset_status.ok()) {

@@ -11,11 +11,13 @@
 namespace fastft {
 namespace {
 
-double GiniFromCounts(const std::vector<double>& counts, double total) {
+/// Gini impurity of class counts over `total` instances. Each count converts
+/// to double exactly, so the result is the Gini of the count doubles.
+double GiniFromCounts(const std::vector<int64_t>& counts, double total) {
   if (total <= 0) return 0.0;
   double gini = 1.0;
-  for (double c : counts) {
-    double p = c / total;
+  for (int64_t c : counts) {
+    double p = static_cast<double>(c) / total;
     gini -= p * p;
   }
   return gini;
@@ -45,6 +47,17 @@ void StablePartition(int* items, int count, int* scratch,
 /// Copies of a row written unconditionally when expanding a presorted order
 /// by sample multiplicity (see DecisionTree::Fit).
 constexpr int kExpandCopies = 4;
+
+/// The classification scan skips a position only in nodes up to this many
+/// instances; larger nodes evaluate every position. Up to it the integer
+/// products of the skip test fit in int64 (N <= n^3/4 <= 2^58), and a gain
+/// has at most n nonzero classes, so its rounding error stays far inside
+/// kGainMargin (see BuildNode).
+constexpr int kMaxPrunedCount = 1 << 20;
+
+/// How far below the best gain a position's exact gain must lie to be
+/// skipped without its floating-point gain.
+constexpr double kGainMargin = 0x1p-30;
 
 }  // namespace
 
@@ -178,9 +191,9 @@ struct DecisionTree::Workspace {
   std::vector<double> values;
   std::vector<double> labels;
   /// Classification class counts of the node and of the scan's two sides.
-  std::vector<double> total_counts;
-  std::vector<double> left_counts;
-  std::vector<double> right_counts;
+  std::vector<int64_t> total_n;
+  std::vector<int64_t> left_n;
+  std::vector<int64_t> right_n;
 };
 
 void DecisionTree::Fit(const Rows& x, const std::vector<double>& y) {
@@ -260,14 +273,16 @@ int DecisionTree::BuildNode(Workspace& ws, int begin, int end, int depth,
     node_impurity = std::max(0.0, sumsq / n - mean * mean);
     nodes_[node_index].value = {mean};
   } else {
-    std::vector<double> counts(num_classes_, 0.0);
+    ws.total_n.assign(num_classes_, 0);
     for (int i = 0; i < count; ++i) {
-      counts[static_cast<int>(data.labels_[rows[i]])] += 1.0;
+      ++ws.total_n[static_cast<int>(data.labels_[rows[i]])];
     }
-    node_impurity = GiniFromCounts(counts, n);
-    ws.total_counts = counts;
-    for (double& c : counts) c /= n;
-    nodes_[node_index].value = std::move(counts);
+    node_impurity = GiniFromCounts(ws.total_n, n);
+    std::vector<double>& value = nodes_[node_index].value;
+    value.resize(num_classes_);
+    for (int c = 0; c < num_classes_; ++c) {
+      value[c] = static_cast<double>(ws.total_n[c]) / n;
+    }
   }
 
   const bool can_split = depth < config_.max_depth &&
@@ -327,26 +342,56 @@ int DecisionTree::BuildNode(Workspace& ws, int begin, int end, int depth,
         }
       }
     } else {
-      // Class counts are small integers, exact in double in any order.
-      ws.left_counts.assign(num_classes_, 0.0);
-      ws.right_counts = ws.total_counts;
+      // Positions whose gain cannot beat best_gain are skipped on integer
+      // counts (DESIGN.md, "Tree fitting"). With l_c, r_c the side counts,
+      // the exact gain is I - 1 + Q/n, where Q = Σl²/nl + Σr²/nr = N/D for
+      // N = nr·Σl² + nl·Σr² and D = nl·nr, and both sums of squares update
+      // exactly as one instance moves left. N <= bound·D means the exact
+      // gain is at most best_gain - kGainMargin (up to a few ulp); the
+      // floating-point gain errs from it by about (3C + 10)·2^-53 for C
+      // nonzero classes, far less, so a skipped position could not have
+      // passed `gain > best_gain`. Every other position computes that gain
+      // exactly as before.
+      const bool prune = count <= kMaxPrunedCount;
+      auto skip_bound = [&] {
+        return n * (best_gain - node_impurity + 1.0) - n * kGainMargin;
+      };
+      double bound = skip_bound();
+      ws.left_n.assign(num_classes_, 0);
+      ws.right_n = ws.total_n;
+      int64_t* left = ws.left_n.data();
+      int64_t* right = ws.right_n.data();
+      int64_t left_sq = 0;
+      int64_t right_sq = 0;
+      for (int64_t c : ws.total_n) right_sq += c * c;
       for (int i = 0; i + 1 < count; ++i) {
-        int cls = static_cast<int>(labels[i]);
-        ws.left_counts[cls] += 1.0;
-        ws.right_counts[cls] -= 1.0;
+        const int cls = static_cast<int>(labels[i]);
+        left_sq += 2 * left[cls] + 1;
+        right_sq -= 2 * right[cls] - 1;
+        ++left[cls];
+        --right[cls];
         if (values[i] == values[i + 1]) continue;
-        double nl = static_cast<double>(i + 1);
-        double nr = n - nl;
-        if (nl < config_.min_samples_leaf || nr < config_.min_samples_leaf) {
+        const int64_t left_size = i + 1;
+        const int64_t right_size = count - left_size;
+        if (left_size < config_.min_samples_leaf ||
+            right_size < config_.min_samples_leaf) {
           continue;
         }
+        if (prune &&
+            static_cast<double>(right_size * left_sq + left_size * right_sq) <=
+                bound * static_cast<double>(left_size * right_size)) {
+          continue;
+        }
+        double nl = static_cast<double>(left_size);
+        double nr = n - nl;
         double gain = node_impurity -
-                      (nl / n) * GiniFromCounts(ws.left_counts, nl) -
-                      (nr / n) * GiniFromCounts(ws.right_counts, nr);
+                      (nl / n) * GiniFromCounts(ws.left_n, nl) -
+                      (nr / n) * GiniFromCounts(ws.right_n, nr);
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = feature;
           best_threshold = 0.5 * (values[i] + values[i + 1]);
+          bound = skip_bound();
         }
       }
     }

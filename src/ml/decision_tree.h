@@ -9,6 +9,10 @@
 // instance lists that splits stably partition (DESIGN.md, "Tree fitting").
 // A k-fold evaluation sorts once for all its folds: each fold's training
 // set is a view of the full presort.
+//
+// The classification scan decides most split positions on integer class
+// counts alone: it skips every position whose Gini gain provably cannot beat
+// the best so far, so the fitted tree is the same bit for bit.
 
 #pragma once
 

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -492,6 +496,29 @@ TEST(CheckpointTest, CheckpointingItselfChangesNothing) {
   ExpectSameResult(plain, checkpointed);
 }
 
+// A run without a budget or cancel flag serializes only the boundaries it
+// writes and its last one, which Finish() writes: a thinned cadence leaves
+// the same final file as a snapshot at every boundary.
+TEST(CheckpointTest, ThinnedCadenceLeavesTheSameFinalCheckpoint) {
+  EngineConfig every = SmallConfig();
+  every.checkpoint_path = TempPath("cadence/every.ckpt");
+  EngineConfig thinned = SmallConfig();
+  thinned.checkpoint_path = TempPath("cadence/thinned.ckpt");
+  thinned.checkpoint_every_episodes = 3;  // writes at 3; 5 is not due
+  std::remove(every.checkpoint_path.c_str());
+  std::remove(thinned.checkpoint_path.c_str());
+  (void)RunOnce(every);
+  (void)RunOnce(thinned);
+
+  std::string every_bytes;
+  std::string thinned_bytes;
+  ASSERT_TRUE(
+      common::ReadFileToString(every.checkpoint_path, &every_bytes).ok());
+  ASSERT_TRUE(
+      common::ReadFileToString(thinned.checkpoint_path, &thinned_bytes).ok());
+  EXPECT_EQ(every_bytes, thinned_bytes);
+}
+
 TEST(CheckpointTest, CorruptedCheckpointFallsBackToFreshRun) {
   std::string path = TempPath("corrupt/fastft.ckpt");
   EngineConfig cfg = SmallConfig();
@@ -539,6 +566,43 @@ TEST(CheckpointTest, PreCancelledRunReturnsValidEmptyResult) {
   EXPECT_EQ(r.total_steps, 0);
   EXPECT_TRUE(r.trace.empty());
   EXPECT_TRUE(r.episode_best.empty());
+}
+
+TEST(CheckpointTest, CancelledThinnedRunLeavesItsNewestBoundary) {
+  // A cancel flag makes every boundary serialize, so whichever boundary a
+  // cancelled run completed last is on disk even when its write was not
+  // due. The cancel lands at several points of the run; at most one of
+  // the five boundaries is due at this cadence.
+  const auto start = std::chrono::steady_clock::now();
+  EngineResult full = RunOnce(SmallConfig());
+  const auto full_time = std::chrono::steady_clock::now() - start;
+
+  const std::string path = TempPath("cancel_thinned/fastft.ckpt");
+  for (int tenths : {2, 4, 6, 8}) {
+    std::remove(path.c_str());
+    EngineConfig cancelled = SmallConfig();
+    cancelled.checkpoint_path = path;
+    cancelled.checkpoint_every_episodes = 3;
+    cancelled.cancel_flag = std::make_shared<std::atomic<bool>>(false);
+    std::thread canceller([flag = cancelled.cancel_flag,
+                           delay = full_time * tenths / 10] {
+      std::this_thread::sleep_for(delay);
+      flag->store(true);
+    });
+    EngineResult partial = RunOnce(cancelled);
+    canceller.join();
+    if (partial.completed_episodes > 0) {
+      EngineState boundary(cancelled);
+      ASSERT_TRUE(RestoreEngineState(path, cancelled, &boundary).ok());
+      EXPECT_EQ(boundary.run.next_episode, partial.completed_episodes)
+          << "cancelled at " << tenths << "/10 of the run";
+    }
+
+    EngineConfig rest = SmallConfig();
+    rest.checkpoint_path = path;
+    rest.resume = true;
+    ExpectSameResult(full, RunOnce(rest));
+  }
 }
 
 TEST(CheckpointTest, BudgetedRunResumesToIdenticalFinalResult) {

@@ -5,7 +5,9 @@
 // the forest that materializes each bootstrap as a private row copy. They are
 // kept here, test-only, as the oracle: over hundreds of seeded configurations
 // the library's DecisionTree and RandomForest must reproduce their
-// predictions, scores and importances bit for bit.
+// predictions, scores and importances bit for bit. The reference scans every
+// split position, so it is also the oracle for the library's scan, which
+// skips the positions that cannot beat the best gain.
 
 #include <gtest/gtest.h>
 
@@ -414,12 +416,59 @@ Case MakeCase(uint64_t seed) {
   return c;
 }
 
-constexpr uint64_t kCases = 240;
+/// A larger case for the pruned classification scan: n in the hundreds,
+/// 3-4 classes, and feature 0 repeated twice — a duplicate, which ties it at
+/// every split so the first feature must win, and a mirror (x and -x), whose
+/// swapped sides can round its gain an ulp either way of the original's.
+Case MakeWideCase(uint64_t seed) {
+  Rng rng(seed);
+  Case c;
+  const int n = 200 + rng.UniformInt(500);
+  const int base_features = 1 + rng.UniformInt(5);
+  c.num_features = base_features + 2;
+  const int classes = 3 + rng.UniformInt(2);
+  std::vector<int> shape(base_features);
+  for (int& s : shape) s = rng.UniformInt(4);  // 0-2 grid, 3 continuous.
+  c.x.assign(n, std::vector<double>(c.num_features));
+  for (int r = 0; r < n; ++r) {
+    for (int f = 0; f < base_features; ++f) {
+      c.x[r][f] = shape[f] == 3 ? rng.Normal()
+                                : 0.5 * rng.UniformInt(3 + shape[f] * 4);
+    }
+    c.x[r][base_features] = c.x[r][0];
+    c.x[r][base_features + 1] = -c.x[r][0];
+    const int signal = static_cast<int>(std::fabs(c.x[r][0]) * 2.0) % classes;
+    c.y.push_back(rng.Uniform() < 0.6 ? signal : rng.UniformInt(classes));
+  }
+  c.probes = c.x;
+  const int depths[] = {6, 10};
+  const int leaves[] = {1, 2, 5};
+  const int features[] = {0, 0, 2};
+  c.max_depth = depths[rng.UniformInt(2)];
+  c.min_samples_leaf = leaves[rng.UniformInt(3)];
+  c.max_features = features[rng.UniformInt(3)];
+  return c;
+}
 
-TEST(TreeOracleTest, DecisionTreeMatchesSortPerNodeReference) {
+constexpr uint64_t kCases = 240;
+constexpr uint64_t kWideCases = 40;
+
+/// Calls check(case, seed) on every MakeCase seed, then every MakeWideCase
+/// seed.
+template <typename Check>
+void ForEachCase(const Check& check) {
   for (uint64_t seed = 1; seed <= kCases; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const Case c = MakeCase(seed);
+    check(MakeCase(seed), seed);
+  }
+  for (uint64_t seed = 1; seed <= kWideCases; ++seed) {
+    SCOPED_TRACE("wide seed " + std::to_string(seed));
+    check(MakeWideCase(seed), seed);
+  }
+}
+
+TEST(TreeOracleTest, DecisionTreeMatchesSortPerNodeReference) {
+  ForEachCase([](const Case& c, uint64_t seed) {
     TreeConfig tc;
     tc.regression = c.regression;
     tc.max_depth = c.max_depth;
@@ -462,14 +511,12 @@ TEST(TreeOracleTest, DecisionTreeMatchesSortPerNodeReference) {
       EXPECT_EQ(Bits(actual.FeatureImportance()), Bits(expected.importance()))
           << use_sample;
     }
-  }
+  });
 }
 
 TEST(TreeOracleTest, RandomForestMatchesRowCopyReference) {
   int injected = 0;
-  for (uint64_t seed = 1; seed <= kCases; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const Case c = MakeCase(seed);
+  ForEachCase([&injected](const Case& c, uint64_t seed) {
     ForestConfig fc;
     fc.regression = c.regression;
     fc.num_trees = 4;
@@ -495,7 +542,7 @@ TEST(TreeOracleTest, RandomForestMatchesRowCopyReference) {
       EXPECT_EQ(Bits(actual.PredictProba(c.probes[0])),
                 Bits(expected.Proba(c.probes[0])));
     }
-  }
+  });
   // The configurations must reach the injected-positive bootstrap.
   EXPECT_GT(injected, 0);
 }

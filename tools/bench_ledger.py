@@ -9,7 +9,7 @@ envelope (see bench/bench_util.h):
       "bench": "<bench name>",
       "backend": "<simd backend>",
       "threads": <worker threads>,
-      "commit": "<git sha>",        # added by `stamp`, optional
+      "commit": "<git sha>",        # "-dirty" suffix, or "unstamped"
       "payload": { ...bench-specific metrics... }
     }
 
@@ -18,10 +18,6 @@ Commands:
     check FILE...
         Validate that each file carries a well-formed envelope. Exit 1 on
         the first malformed file.
-
-    stamp FILE...
-        Add/refresh a "commit" field with the current git HEAD so a
-        committed snapshot records which code produced it.
 
     diff BASELINE CANDIDATE
         Print every numeric metric that changed between two snapshots of
@@ -37,7 +33,6 @@ Commands:
 
 import argparse
 import json
-import subprocess
 import sys
 
 LEDGER_VERSION = 1
@@ -116,23 +111,6 @@ def cmd_check(args):
     return 0
 
 
-def cmd_stamp(args):
-    try:
-        head = subprocess.run(["git", "rev-parse", "HEAD"],
-                              capture_output=True, text=True, check=True,
-                              cwd=args.repo).stdout.strip()
-    except (OSError, subprocess.CalledProcessError) as e:
-        fail(f"cannot resolve git HEAD: {e}")
-    for path in args.files:
-        doc = load_envelope(path)
-        doc["commit"] = head
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-        print(f"{path}: stamped commit {head[:12]}")
-    return 0
-
-
 def compare(baseline_path, candidate_path, max_regress_pct, gate):
     base = load_envelope(baseline_path)
     cand = load_envelope(candidate_path)
@@ -198,10 +176,6 @@ def main():
     p = sub.add_parser("check", help="validate envelope(s)")
     p.add_argument("files", nargs="+")
 
-    p = sub.add_parser("stamp", help="record git HEAD in the envelope(s)")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--repo", default=".", help="git repo to resolve HEAD in")
-
     p = sub.add_parser("diff", help="print metric deltas between snapshots")
     p.add_argument("baseline")
     p.add_argument("candidate")
@@ -216,8 +190,6 @@ def main():
     args = parser.parse_args()
     if args.command == "check":
         return cmd_check(args)
-    if args.command == "stamp":
-        return cmd_stamp(args)
     if args.command == "diff":
         return compare(args.baseline, args.candidate, args.max_regress_pct,
                        gate=False)
