@@ -157,7 +157,11 @@ int Main() {
   const double on_run_seconds = timer.Seconds();
   // Re-flush the recorded stream episode by episode to time the actual
   // whole-file rewrites (fsync included) at the sizes this run produces.
-  obs::RecordStream replay = obs::RecordStream::Open(record_path, 0);
+  // Opening at `episodes` keeps every block of the run, so each flush
+  // rewrites at least the full recorded file.
+  obs::RecordStream replay = obs::RecordStream::Open(record_path, episodes);
+  FASTFT_CHECK_EQ(replay.episode_blocks(), episodes)
+      << "flush bench invalidated: the recorded stream lost blocks";
   timer.Restart();
   for (int e = 0; e < episodes; ++e) {
     Status flush = replay.FlushEpisode(1000 + e);

@@ -2,9 +2,9 @@
 //
 // A DeadlineToken is owned by the engine run and threaded (by pointer) into
 // the long-running loops: the episode/step boundaries in Engine::Run and
-// the per-fold / per-candidate lambdas inside Evaluator batches. Expired()
-// is cheap enough to call per work item; once it reports true it stays
-// true for the rest of the run, so every observer sees a consistent
+// the per-fold tasks inside Evaluator::Evaluate. Expired() is cheap
+// enough to call per work item; once it reports true it stays true for
+// the rest of the run, so every observer sees a consistent
 // decision and the engine can wind down at the next boundary — emitting a
 // final checkpoint and a valid partial report instead of dying mid-write.
 

@@ -1,10 +1,10 @@
 // Crash-safe filesystem helpers.
 //
 // AtomicWriteFile is the single write path for every durable artifact the
-// project emits (checkpoints, run reports, Chrome traces, nn parameter
-// files): content goes to a temp file in the destination directory, is
-// fsync'd, and is renamed over the target, so readers observe either the
-// old complete file or the new complete file — never a truncated mix.
+// project emits (checkpoints, run reports, Chrome traces): content goes
+// to a temp file in the destination directory, is fsync'd, and is renamed
+// over the target, so readers observe either the old complete file or the
+// new complete file — never a truncated mix.
 
 #pragma once
 

@@ -43,9 +43,11 @@ uint64_t EngineConfigFingerprint(const EngineConfig& c) {
   w.WriteBool(c.use_novelty);
   w.WriteBool(c.prioritized_replay);
   w.WriteI32(c.finetune_every_episodes);
-  w.WriteI32(c.finetune_epochs);
+  // Finetune epochs and batch: fixed constants, still written (like
+  // kMiBins below) so existing checkpoints keep their fingerprint.
+  w.WriteI32(EngineConfig::kFinetuneEpochs);
   w.WriteI32(c.cold_start_train_epochs);
-  w.WriteI32(c.finetune_batch);
+  w.WriteI32(EngineConfig::kFinetuneBatch);
   // Triggers, reward schedule, memory, exploration annealing.
   w.WriteDouble(c.alpha_percentile);
   w.WriteDouble(c.beta_percentile);

@@ -153,8 +153,6 @@ Status ValidateEngineConfig(const EngineConfig& config) {
   at_least("cold_start_episodes", config.cold_start_episodes, 1,
            " (the cold start anchors the evaluation components)");
   at_least("memory_size", config.memory_size, 1);
-  at_least("finetune_batch", config.finetune_batch, 1);
-  at_least("finetune_epochs", config.finetune_epochs, 0);
   require(config.alpha_percentile >= 0.0 && config.alpha_percentile <= 100.0,
           "alpha_percentile must be in [0, 100], got " +
               std::to_string(config.alpha_percentile));
@@ -253,7 +251,7 @@ struct RunContext {
   const Dataset& dataset;
   // Cooperative deadline watchdog, armed before anything else is built so
   // even the baseline respects the budget; checked at episode/step
-  // boundaries and per fold/candidate inside the evaluator.
+  // boundaries and per fold inside the evaluator.
   common::DeadlineToken deadline;
   FeatureSpace space;  // reset at every episode start
   Tokenizer tokenizer;
@@ -777,7 +775,7 @@ void FinetuneComponent(RunContext& ctx, EngineState& s, int episode,
     }
     return;
   }
-  for (int k = 0; k < ctx.config.finetune_epochs; ++k) {
+  for (int k = 0; k < EngineConfig::kFinetuneEpochs; ++k) {
     double loss = pass();
     if (FASTFT_FAULT_POINT(site)) loss = kNaN;
     if (!std::isfinite(loss)) {
@@ -797,7 +795,7 @@ void FinetuneComponent(RunContext& ctx, EngineState& s, int episode,
 void Finetune(RunContext& ctx, EngineState& s, int episode) {
   obs::TraceSpan phase("engine/finetune", &s.result.times.optimization_ns);
   std::vector<int> indices =
-      s.buffer.UniformSampleIndices(ctx.config.finetune_batch, &s.rng);
+      s.buffer.UniformSampleIndices(EngineConfig::kFinetuneBatch, &s.rng);
   std::vector<SequenceRecord> batch;
   std::vector<std::vector<int>> sequences;
   for (int idx : indices) {

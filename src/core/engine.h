@@ -68,9 +68,11 @@ struct EngineConfig {
   bool use_novelty = true;                // false → FASTFT^-NE
   bool prioritized_replay = true;         // false → FASTFT^-RCT
   int finetune_every_episodes = 3;        // paper E = 5
-  int finetune_epochs = 4;                // paper K
   int cold_start_train_epochs = 10;
-  int finetune_batch = 8;
+  // Each finetune runs kFinetuneEpochs passes over a uniform replay sample
+  // of kFinetuneBatch transitions.
+  static constexpr int kFinetuneEpochs = 4;  // paper K
+  static constexpr int kFinetuneBatch = 8;
 
   // Adaptive downstream triggers (percentiles; paper α=10, β=5). A value
   // of 0 disables that trigger entirely (Fig. 12's degenerate setting).
@@ -151,7 +153,7 @@ struct EngineConfig {
   /// final result of the uninterrupted run.
   bool resume = false;
   /// Cooperative wall-clock budget (0 = none). Checked at episode/step
-  /// boundaries and inside evaluator batches; on expiry the run stops at
+  /// boundaries and per evaluator fold; on expiry the run stops at
   /// the next boundary, writes a final checkpoint (when configured), and
   /// returns a valid partial result with `interrupted` set.
   int64_t wall_clock_budget_ms = 0;

@@ -59,10 +59,6 @@ class PerformancePredictor {
   /// Fig. 14 and by embedding-space baselines). Cached inference path.
   std::vector<double> Encode(const std::vector<int>& tokens) const;
 
-  /// Persists / restores trained weights (same PredictorConfig required).
-  Status Save(const std::string& path) { return model_.Save(path); }
-  Status Load(const std::string& path) { return model_.Load(path); }
-
   /// Embeds / restores weights + optimizer state in a checkpoint payload
   /// (same PredictorConfig required; the model's prefix cache is
   /// invalidated on load).

@@ -40,12 +40,6 @@ const Transition& PrioritizedReplayBuffer::Get(int index) const {
   return items_[index];
 }
 
-Transition& PrioritizedReplayBuffer::GetMutable(int index) {
-  FASTFT_CHECK_GE(index, 0);
-  FASTFT_CHECK_LT(index, size());
-  return items_[index];
-}
-
 int PrioritizedReplayBuffer::SampleIndex(Rng* rng, bool prioritized) const {
   FASTFT_TRACE_SPAN("replay/sample");
   FASTFT_CHECK_GT(size(), 0);

@@ -52,7 +52,6 @@ class PrioritizedReplayBuffer {
   bool Full() const { return size() >= capacity_; }
 
   const Transition& Get(int index) const;
-  Transition& GetMutable(int index);
 
   /// Samples an index ~ B_i = P_i / Σ P_k (or uniformly).
   int SampleIndex(Rng* rng, bool prioritized = true) const;

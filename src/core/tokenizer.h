@@ -31,7 +31,6 @@ class Tokenizer {
   int vocab_size() const {
     return kNumSpecials + kNumOperations + feature_buckets_;
   }
-  int max_length() const { return max_length_; }
 
   int OpToken(int op_index) const { return kNumSpecials + op_index; }
   int FeatureToken(int feature_index) const {

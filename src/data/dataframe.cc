@@ -58,12 +58,6 @@ const std::string& DataFrame::Name(int index) const {
   return names_[index];
 }
 
-void DataFrame::SetName(int index, std::string name) {
-  FASTFT_CHECK_GE(index, 0);
-  FASTFT_CHECK_LT(index, NumCols());
-  names_[index] = std::move(name);
-}
-
 int DataFrame::FindColumn(const std::string& name) const {
   for (int i = 0; i < NumCols(); ++i) {
     if (names_[i] == name) return i;

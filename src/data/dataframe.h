@@ -40,7 +40,6 @@ class DataFrame {
   const std::vector<double>& Col(int index) const;
   std::vector<double>& MutableCol(int index);
   const std::string& Name(int index) const;
-  void SetName(int index, std::string name);
 
   /// Index of the column named `name`, or -1.
   int FindColumn(const std::string& name) const;

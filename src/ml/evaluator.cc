@@ -11,8 +11,6 @@
 #include "data/split.h"
 #include "ml/gradient_boosting.h"
 #include "ml/linear_models.h"
-#include "ml/isolation_forest.h"
-#include "ml/knn.h"
 #include "ml/random_forest.h"
 
 namespace fastft {
@@ -31,10 +29,6 @@ const char* ModelKindName(ModelKind kind) {
       return "SVM-C";
     case ModelKind::kRidge:
       return "Ridge-C";
-    case ModelKind::kKnn:
-      return "KNN";
-    case ModelKind::kIsolationForest:
-      return "IForest";
   }
   return "?";
 }
@@ -78,18 +72,6 @@ std::unique_ptr<Model> MakeModel(ModelKind kind, TaskType task, uint64_t seed,
     }
     case ModelKind::kRidge:
       return std::make_unique<Ridge>(!regression);
-    case ModelKind::kKnn: {
-      KnnConfig kc;
-      kc.regression = regression;
-      return std::make_unique<Knn>(kc);
-    }
-    case ModelKind::kIsolationForest: {
-      FASTFT_CHECK(task == TaskType::kDetection)
-          << "isolation forest scores anomalies only";
-      IsolationForestConfig ic;
-      ic.seed = seed;
-      return std::make_unique<IsolationForest>(ic);
-    }
   }
   FASTFT_CHECK(false) << "unreachable";
   return nullptr;

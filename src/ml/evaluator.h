@@ -28,9 +28,6 @@ enum class ModelKind {
   kLogisticRegression,
   kLinearSvm,
   kRidge,
-  kKnn,
-  /// Unsupervised anomaly scorer; detection tasks only (AUC metric).
-  kIsolationForest,
 };
 
 const char* ModelKindName(ModelKind kind);

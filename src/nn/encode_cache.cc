@@ -158,11 +158,6 @@ PrefixCacheStats PrefixStateCache::stats() const {
   return stats_;
 }
 
-size_t PrefixStateCache::bytes_used() const {
-  common::MutexLock lock(&mu_);
-  return bytes_used_;
-}
-
 size_t PrefixStateCache::entries() const {
   common::MutexLock lock(&mu_);
   return lru_.size();

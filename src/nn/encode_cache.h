@@ -13,7 +13,7 @@
 // exact per-timestep arithmetic of a from-scratch encode (earlier timesteps
 // never depend on later tokens), so cached and uncached scores are
 // bit-identical. The cache must be invalidated whenever the model's weights
-// change (SequenceModel does this in ApplyStep/Load).
+// change (SequenceModel does this in ApplyStep/LoadState).
 //
 // Thread safety: all public methods are internally locked, so concurrent
 // encodes may share one cache. Entry *content* is deterministic; LRU order
@@ -95,7 +95,6 @@ class PrefixStateCache {
   void Invalidate();
 
   PrefixCacheStats stats() const;
-  size_t bytes_used() const;
   size_t entries() const;
 
  private:

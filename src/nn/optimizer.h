@@ -23,7 +23,6 @@ class AdamOptimizer {
   /// Applies one update from the accumulated gradients, then zeroes them.
   void Step();
 
-  void set_learning_rate(double lr) { lr_ = lr; }
   double learning_rate() const { return lr_; }
   const std::vector<Parameter*>& params() const { return params_; }
 

@@ -95,14 +95,6 @@ class SequenceModel {
 
   std::vector<Parameter*> Params();
 
-  /// Persists / restores the trained weights (architecture must match).
-  Status Save(const std::string& path) { return SaveParameters(Params(), path); }
-  Status Load(const std::string& path) {
-    Status status = LoadParameters(Params(), path);
-    prefix_cache_.Invalidate();
-    return status;
-  }
-
   /// Embeds weights, optimizer moments, and the non-finite-skip counter in
   /// a snapshot payload (architecture is NOT written; the restoring model
   /// must be constructed with the identical config).

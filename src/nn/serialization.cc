@@ -1,18 +1,10 @@
 #include "nn/serialization.h"
 
 #include <cstdint>
-#include <cstring>
-
-#include "common/fs.h"
+#include <string>
 
 namespace fastft {
 namespace nn {
-namespace {
-
-constexpr char kMagic[4] = {'F', 'F', 'T', 'W'};
-constexpr uint32_t kVersion = 1;
-
-}  // namespace
 
 void SerializeMatrix(const Matrix& m, common::BinaryWriter* writer) {
   writer->WriteU32(static_cast<uint32_t>(m.rows()));
@@ -50,40 +42,6 @@ void DeserializeParameters(common::BinaryReader* reader,
     return;
   }
   for (Parameter* p : params) DeserializeMatrix(reader, &p->value);
-}
-
-Status SaveParameters(const std::vector<Parameter*>& params,
-                      const std::string& path) {
-  common::BinaryWriter writer;
-  writer.WriteBytes(kMagic, sizeof(kMagic));
-  writer.WriteU32(kVersion);
-  SerializeParameters(params, &writer);
-  return common::AtomicWriteFile(path, writer.buffer());
-}
-
-Status LoadParameters(const std::vector<Parameter*>& params,
-                      const std::string& path) {
-  std::string blob;
-  Status read = common::ReadFileToString(path, &blob);
-  if (!read.ok()) {
-    return Status::IOError("cannot open " + path + ": " + read.message());
-  }
-  if (blob.size() < sizeof(kMagic) ||
-      std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path + " is not a fastft weight file");
-  }
-  common::BinaryReader reader(
-      std::string_view(blob).substr(sizeof(kMagic)));
-  uint32_t version = reader.ReadU32();
-  if (!reader.ok() || version != kVersion) {
-    return Status::InvalidArgument("unsupported weight-file version");
-  }
-  DeserializeParameters(&reader, params);
-  if (!reader.ok()) {
-    return Status::InvalidArgument("weight file " + path + ": " +
-                                   reader.status().message());
-  }
-  return Status::OK();
 }
 
 }  // namespace nn

@@ -1,35 +1,20 @@
-// Parameter serialization: save/load trained weights.
+// Parameter serialization: the weights payload a checkpoint embeds.
 //
-// Binary format v1: magic "FFTW", uint32 version, uint32 tensor count, then
-// per tensor {uint32 rows, uint32 cols, rows*cols little-endian doubles}.
-// Loading is shape-checked against the destination parameters, so a file
-// can only be restored into a model with the identical architecture.
-//
-// The same payload layout is exposed in-memory (Serialize/Deserialize on a
-// BinaryWriter/BinaryReader) so the checkpoint subsystem can embed model
-// weights inside a larger snapshot; the file functions wrap it in the FFTW
-// envelope and write through AtomicWriteFile so a crash mid-save never
-// leaves a truncated weight file.
+// Layout: uint32 tensor count, then per tensor {uint32 rows, uint32 cols,
+// rows*cols little-endian doubles}, written to a BinaryWriter and read back
+// from a BinaryReader. Reading is shape-checked against the destination
+// parameters, so a payload can only be restored into a model with the
+// identical architecture.
 
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/serial.h"
-#include "common/status.h"
 #include "nn/matrix.h"
 
 namespace fastft {
 namespace nn {
-
-/// Writes the parameter values (not gradients) to `path` atomically.
-Status SaveParameters(const std::vector<Parameter*>& params,
-                      const std::string& path);
-
-/// Restores parameter values from `path`; every tensor's shape must match.
-Status LoadParameters(const std::vector<Parameter*>& params,
-                      const std::string& path);
 
 /// Appends one matrix as {u32 rows, u32 cols, doubles} to the writer.
 void SerializeMatrix(const Matrix& m, common::BinaryWriter* writer);
@@ -38,7 +23,7 @@ void SerializeMatrix(const Matrix& m, common::BinaryWriter* writer);
 /// have the expected shape; shape mismatch fails the reader.
 void DeserializeMatrix(common::BinaryReader* reader, Matrix* m);
 
-/// Appends {u32 count, tensors...} — the FFTW payload without its envelope.
+/// Appends {u32 count, tensors...}: parameter values, not gradients.
 void SerializeParameters(const std::vector<Parameter*>& params,
                          common::BinaryWriter* writer);
 

@@ -33,8 +33,6 @@ TEST(DataFrameTest, AccessorsAndNames) {
   EXPECT_DOUBLE_EQ(f.At(1, 1), 5.0);
   EXPECT_EQ(f.FindColumn("b"), 1);
   EXPECT_EQ(f.FindColumn("zzz"), -1);
-  f.SetName(0, "renamed");
-  EXPECT_EQ(f.FindColumn("renamed"), 0);
 }
 
 TEST(DataFrameTest, RowMaterialization) {

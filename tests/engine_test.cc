@@ -241,7 +241,7 @@ TEST(EngineTest, TrainingSpansNestInColdStartAndFinetune) {
   ASSERT_GE(finetunes.size(), 1u);
   const size_t passes =
       coldstarts.size() +
-      finetunes.size() * static_cast<size_t>(cfg.finetune_epochs);
+      finetunes.size() * static_cast<size_t>(EngineConfig::kFinetuneEpochs);
   for (const char* name : {"engine/train_predictor", "engine/train_novelty"}) {
     EXPECT_EQ(spans[name].size(), passes) << name;
     for (const obs::SpanEvent& event : spans[name]) {

@@ -221,8 +221,6 @@ TEST(EvaluatorTest, ForestScoresUnchanged) {
   EvaluatorConfig linear = PinConfig(3, 8, 5);
   linear.model = ModelKind::kLogisticRegression;
   EXPECT_BITS(0x3fe78e5e2e8ab99f, Evaluator(linear).Evaluate(binary));
-  linear.model = ModelKind::kKnn;
-  EXPECT_BITS(0x3fe427c75e710daa, Evaluator(linear).Evaluate(discrete));
 }
 
 class ModelKindTest : public testing::TestWithParam<ModelKind> {};

@@ -114,13 +114,6 @@ TEST(ReplayBufferTest, UniformSampleIndicesDistinct) {
   EXPECT_EQ(buffer.UniformSampleIndices(100, &rng).size(), 8u);
 }
 
-TEST(ReplayBufferTest, GetMutableAllowsPerformanceUpdate) {
-  PrioritizedReplayBuffer buffer(2);
-  buffer.Add(MakeTransition(1.5), 1.0);
-  buffer.GetMutable(0).performance = 2.5;
-  EXPECT_DOUBLE_EQ(buffer.Get(0).performance, 2.5);
-}
-
 TEST(ReplayBufferTest, CapacityOneAlwaysHoldsNewest) {
   PrioritizedReplayBuffer buffer(1);
   EXPECT_EQ(buffer.capacity(), 1);

@@ -1,11 +1,14 @@
-// Tests for weight serialization (nn/serialization) and its model wrappers.
+// Tests for the weights payload (nn/serialization) and the model SaveState /
+// LoadState that embed it in a checkpoint.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <bit>
+#include <cstdint>
+#include <string>
 
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/performance_predictor.h"
 #include "nn/sequence_model.h"
 #include "nn/serialization.h"
@@ -13,83 +16,71 @@
 namespace fastft {
 namespace {
 
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+std::string Payload(const std::vector<nn::Parameter*>& params) {
+  common::BinaryWriter writer;
+  nn::SerializeParameters(params, &writer);
+  return writer.Release();
 }
 
 TEST(SerializationTest, RoundTripRestoresExactValues) {
   Rng rng(1);
   nn::Parameter a(nn::Matrix::Randn(3, 4, 1.0, &rng));
   nn::Parameter b(nn::Matrix::Randn(1, 7, 1.0, &rng));
-  std::string path = TempPath("weights_roundtrip.bin");
-  ASSERT_TRUE(nn::SaveParameters({&a, &b}, path).ok());
+  std::string payload = Payload({&a, &b});
 
   nn::Parameter a2(nn::Matrix(3, 4));
   nn::Parameter b2(nn::Matrix(1, 7));
-  ASSERT_TRUE(nn::LoadParameters({&a2, &b2}, path).ok());
+  common::BinaryReader reader(payload);
+  nn::DeserializeParameters(&reader, {&a2, &b2});
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.remaining(), 0u);
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.value.data()[i], a2.value.data()[i]);
+    EXPECT_EQ(Bits(a.value.data()[i]), Bits(a2.value.data()[i]));
   }
   for (size_t i = 0; i < b.size(); ++i) {
-    EXPECT_DOUBLE_EQ(b.value.data()[i], b2.value.data()[i]);
+    EXPECT_EQ(Bits(b.value.data()[i]), Bits(b2.value.data()[i]));
   }
-  std::remove(path.c_str());
 }
 
 TEST(SerializationTest, ShapeMismatchRejected) {
   Rng rng(2);
   nn::Parameter a(nn::Matrix::Randn(3, 4, 1.0, &rng));
-  std::string path = TempPath("weights_shape.bin");
-  ASSERT_TRUE(nn::SaveParameters({&a}, path).ok());
+  std::string payload = Payload({&a});
   nn::Parameter wrong(nn::Matrix(4, 3));
-  Status st = nn::LoadParameters({&wrong}, path);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
+  common::BinaryReader reader(payload);
+  nn::DeserializeParameters(&reader, {&wrong});
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("shape mismatch"),
+            std::string::npos)
+      << reader.status().ToString();
 }
 
 TEST(SerializationTest, TensorCountMismatchRejected) {
   Rng rng(3);
   nn::Parameter a(nn::Matrix::Randn(2, 2, 1.0, &rng));
-  std::string path = TempPath("weights_count.bin");
-  ASSERT_TRUE(nn::SaveParameters({&a}, path).ok());
+  std::string payload = Payload({&a});
   nn::Parameter b(nn::Matrix(2, 2)), c(nn::Matrix(2, 2));
-  EXPECT_FALSE(nn::LoadParameters({&b, &c}, path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, GarbageFileRejected) {
-  std::string path = TempPath("weights_garbage.bin");
-  std::ofstream(path) << "this is not a weight file";
-  nn::Parameter p(nn::Matrix(1, 1));
-  Status st = nn::LoadParameters({&p}, path);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, MissingFileIsIOError) {
-  nn::Parameter p(nn::Matrix(1, 1));
-  EXPECT_EQ(nn::LoadParameters({&p}, "/no/such/file.bin").code(),
-            StatusCode::kIOError);
+  common::BinaryReader reader(payload);
+  nn::DeserializeParameters(&reader, {&b, &c});
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("tensors"), std::string::npos)
+      << reader.status().ToString();
 }
 
 TEST(SerializationTest, TruncatedFileRejected) {
   Rng rng(4);
   nn::Parameter a(nn::Matrix::Randn(8, 8, 1.0, &rng));
-  std::string path = TempPath("weights_trunc.bin");
-  ASSERT_TRUE(nn::SaveParameters({&a}, path).ok());
-  // Truncate the payload.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    std::ofstream out(path, std::ios::binary);
-    out.write(content.data(), static_cast<std::streamsize>(content.size() / 2));
+  std::string payload = Payload({&a});
+  // Every proper prefix of the payload fails the reader without a crash.
+  for (size_t keep : {size_t{0}, size_t{3}, size_t{8}, payload.size() / 2,
+                      payload.size() - 1}) {
+    nn::Parameter b(nn::Matrix(8, 8));
+    common::BinaryReader reader(std::string_view(payload).substr(0, keep));
+    nn::DeserializeParameters(&reader, {&b});
+    EXPECT_FALSE(reader.ok()) << "prefix of " << keep << " bytes";
   }
-  nn::Parameter b(nn::Matrix(8, 8));
-  EXPECT_FALSE(nn::LoadParameters({&b}, path).ok());
-  std::remove(path.c_str());
 }
 
 TEST(SerializationTest, SequenceModelRoundTripPreservesForward) {
@@ -108,16 +99,17 @@ TEST(SerializationTest, SequenceModelRoundTripPreservesForward) {
   std::vector<int> probe = {4, 9, 2, 7};
   double before = model.Forward(probe);
 
-  std::string path = TempPath("seq_model.bin");
-  ASSERT_TRUE(model.Save(path).ok());
+  common::BinaryWriter writer;
+  model.SaveState(&writer);
 
   nn::SequenceModelConfig cfg2 = cfg;
   cfg2.seed = 999;  // different init — restored weights must override it
   nn::SequenceModel restored(cfg2);
-  EXPECT_NE(restored.Forward(probe), before);
-  ASSERT_TRUE(restored.Load(path).ok());
-  EXPECT_DOUBLE_EQ(restored.Forward(probe), before);
-  std::remove(path.c_str());
+  EXPECT_NE(Bits(restored.Forward(probe)), Bits(before));
+  common::BinaryReader reader(writer.buffer());
+  restored.LoadState(&reader);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(Bits(restored.Forward(probe)), Bits(before));
 }
 
 TEST(SerializationTest, PredictorSaveLoad) {
@@ -131,12 +123,16 @@ TEST(SerializationTest, PredictorSaveLoad) {
   predictor.Fit({{{1, 2, 3}, 0.7}, {{4, 5, 6}, 0.2}}, 40, &rng);
   double before = predictor.Predict({1, 2, 3});
 
-  std::string path = TempPath("predictor.bin");
-  ASSERT_TRUE(predictor.Save(path).ok());
-  PerformancePredictor fresh(cfg);
-  ASSERT_TRUE(fresh.Load(path).ok());
-  EXPECT_DOUBLE_EQ(fresh.Predict({1, 2, 3}), before);
-  std::remove(path.c_str());
+  common::BinaryWriter writer;
+  predictor.SaveState(&writer);
+  PredictorConfig cfg2 = cfg;
+  cfg2.seed = cfg.seed + 1;
+  PerformancePredictor fresh(cfg2);
+  EXPECT_NE(Bits(fresh.Predict({1, 2, 3})), Bits(before));
+  common::BinaryReader reader(writer.buffer());
+  fresh.LoadState(&reader);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(Bits(fresh.Predict({1, 2, 3})), Bits(before));
 }
 
 }  // namespace

@@ -27,8 +27,9 @@ Commands:
         Like diff, but exit 1 when any metric regressed by more than N%
         (default 10). Direction is inferred from the metric name: times
         (*_ms, *_s, *_seconds, *_pct for overhead/bucket metrics) regress
-        upward; speedups/scores/means regress downward. Unrecognized
-        metrics are reported but never gated.
+        upward; speedups/scores/means regress downward. Spread leaves
+        (quartiles and IQR: q1_*, q3_*, iqr_*, *_q1, *_q3) and
+        unrecognized metrics are reported but never gated.
 """
 
 import argparse
@@ -46,6 +47,9 @@ LOWER_IS_BETTER = ("_ms", "_s", "_seconds", "seconds_", "overhead_pct",
 # Marks where LARGER is better.
 HIGHER_IS_BETTER = ("speedup", "score", "_mean", "mean_", "auc", "f1",
                     "events_per_run")
+# Underscore-separated name parts that mark a spread leaf. Spread is noise
+# around the gated median, so a wider spread alone is not a regression.
+SPREAD_PARTS = {"q1", "q3", "iqr"}
 
 
 def fail(message):
@@ -91,6 +95,8 @@ def flatten(value, prefix=""):
 def direction(name):
     """'down' = smaller is better, 'up' = larger is better, None = ungated."""
     leaf = name.rsplit(".", 1)[-1].lower()
+    if SPREAD_PARTS & set(leaf.split("_")):
+        return None
     for marker in LOWER_IS_BETTER:
         if marker in leaf:
             return "down"
