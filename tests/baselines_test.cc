@@ -172,5 +172,83 @@ TEST(DiferGoldenBitsTest, ScoresArePinnedAtOneAndFourThreads) {
   }
 }
 
+// --- Pinned bits of every method -------------------------------------------
+//
+// Each method's base score, final score, downstream-evaluation count and
+// output width on the classification set at seed 42 and on the regression
+// set at seed 11, with the evaluator's folds serial and on the pool. These
+// are the equivalence oracle for changes to how the baselines are built and
+// run: a change that moves one bit of any method's result fails here.
+
+BaselineResult RunNamed(const std::string& name, const BaselineConfig& cfg,
+                        const Dataset& dataset) {
+  return MakeBaseline(name, cfg)->Run(dataset);
+}
+
+struct Golden {
+  const char* name;
+  uint64_t base_score;
+  uint64_t score;
+  int64_t downstream_evaluations;
+  int num_features;
+};
+
+void ExpectGolden(const Golden& golden, const BaselineResult& r) {
+  SCOPED_TRACE(golden.name);
+  EXPECT_BITS(golden.base_score, r.base_score);
+  EXPECT_BITS(golden.score, r.score);
+  EXPECT_EQ(r.downstream_evaluations, golden.downstream_evaluations);
+  EXPECT_EQ(r.best_dataset.NumFeatures(), golden.num_features);
+}
+
+// SmallDataset() at seed 42.
+constexpr Golden kClassificationGolden[] = {
+    {"RFG", 0x3fe6cbd323989ff0, 0x3fe6cbd323989ff0, 10, 6},
+    {"ERG", 0x3fe6cbd323989ff0, 0x3fe6603d980f6604, 2, 48},
+    {"LDA", 0x3fe6cbd323989ff0, 0x3fe20336d09f135f, 2, 2},
+    {"AFT", 0x3fe6cbd323989ff0, 0x3fe6cbd323989ff0, 3, 6},
+    {"NFS", 0x3fe6cbd323989ff0, 0x3fe6cbd323989ff0, 6, 6},
+    {"TTG", 0x3fe6cbd323989ff0, 0x3fe843fb6dbc681e, 5, 12},
+    {"DIFER", 0x3fe6cbd323989ff0, 0x3fe79ff509ece463, 14, 7},
+    {"OpenFE", 0x3fe6cbd323989ff0, 0x3fe6cbd323989ff0, 7, 6},
+    {"CAAFE", 0x3fe6cbd323989ff0, 0x3fe726354c0eef7b, 6, 8},
+    {"GRFG", 0x3fe65d01d42cdba6, 0x3fe90f17a299338a, 18, 9},
+};
+
+// The 110 × 6 regression set at seed 11.
+constexpr Golden kRegressionGolden[] = {
+    {"RFG", 0x3fb755eef0792178, 0x3fc0d25663544f46, 9, 9},
+    {"ERG", 0x3fb755eef0792178, 0x3fc5e104678cf246, 2, 48},
+    {"LDA", 0x3fb755eef0792178, 0x3fc1267dcb61a2c6, 2, 2},
+    {"AFT", 0x3fb755eef0792178, 0x3fb755eef0792178, 3, 6},
+    {"NFS", 0x3fb755eef0792178, 0x3fb755eef0792178, 6, 6},
+    {"TTG", 0x3fb755eef0792178, 0x3fc4c69361c2c9fa, 5, 17},
+    {"DIFER", 0x3fb755eef0792178, 0x3fc4b1ecf0c1b96a, 14, 7},
+    {"OpenFE", 0x3fb755eef0792178, 0x3fc470fb264ec522, 7, 7},
+    {"CAAFE", 0x3fb755eef0792178, 0x3fc454131db7a6fc, 6, 9},
+    {"GRFG", 0x3fb93e60b353e0a8, 0x3fcbf09400e70848, 18, 18},
+};
+
+TEST(BaselineGoldenBitsTest, EveryMethodIsPinnedAtOneAndFourThreads) {
+  SyntheticSpec spec;
+  spec.samples = 110;
+  spec.features = 6;
+  const Dataset classification = SmallDataset();
+  const Dataset regression = MakeRegression(spec);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    for (const Golden& golden : kClassificationGolden) {
+      BaselineConfig cfg = FastConfig(42);
+      cfg.evaluator.num_threads = threads;
+      ExpectGolden(golden, RunNamed(golden.name, cfg, classification));
+    }
+    for (const Golden& golden : kRegressionGolden) {
+      BaselineConfig cfg = FastConfig(11);
+      cfg.evaluator.num_threads = threads;
+      ExpectGolden(golden, RunNamed(golden.name, cfg, regression));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fastft
