@@ -43,12 +43,10 @@ int main_impl() {
     bc.evaluator.forest_trees = 12;
     // CAAFE's per-call cost model: a large constant latency.
     bc.caafe_llm_latency = 1.2;
-    WallTimer t1;
-    MakeBaseline("OpenFE", bc)->Run(dataset);
-    openfe_t.push_back(t1.Seconds());
-    WallTimer t2;
-    MakeBaseline("CAAFE", bc)->Run(dataset);
-    caafe_t.push_back(t2.Seconds());
+    openfe_t.push_back(
+        RunBaseline("OpenFE", bc, dataset).ValueOrDie().runtime_seconds);
+    caafe_t.push_back(
+        RunBaseline("CAAFE", bc, dataset).ValueOrDie().runtime_seconds);
 
     std::printf("%7dx%-8d %10.2f %10.2f %10.2f\n", size.samples,
                 size.features, fastft_t.back(), openfe_t.back(),

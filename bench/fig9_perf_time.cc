@@ -33,7 +33,8 @@ int main_impl() {
     double best_baseline = 0.0;
     for (const std::string& m : BaselineNames()) {
       BaselineResult r =
-          MakeBaseline(m, bench::DefaultBaselineConfig(909))->Run(dataset);
+          RunBaseline(m, bench::DefaultBaselineConfig(909), dataset)
+              .ValueOrDie();
       std::printf("%-12s %8.3f %10.2f %8lld\n", m.c_str(), r.score,
                   r.runtime_seconds,
                   static_cast<long long>(r.downstream_evaluations));

@@ -38,7 +38,7 @@ int main_impl() {
     bool base_done = false;
     for (const std::string& m : methods) {
       BaselineResult r =
-          MakeBaseline(m, DefaultBaselineConfig(101))->Run(dataset);
+          RunBaseline(m, DefaultBaselineConfig(101), dataset).ValueOrDie();
       if (!base_done) {
         base = r.base_score;
         std::printf(" %5.3f", base);

@@ -40,7 +40,8 @@ int main_impl() {
     // evaluator, so the table measures transfer, not selection luck.
     bc.evaluator.folds = 5;
     bc.evaluator.forest_trees = 16;
-    transformed[name] = MakeBaseline(name, bc)->Run(dataset).best_dataset;
+    transformed[name] =
+        RunBaseline(name, bc, dataset).ValueOrDie().best_dataset;
   }
   {
     // Two seeded runs (the paper averages five); keep the better by the

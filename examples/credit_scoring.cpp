@@ -3,7 +3,6 @@
 // (the paper's Table III study on German Credit).
 
 #include <cstdio>
-#include <memory>
 
 #include "baselines/baseline.h"
 #include "core/engine.h"
@@ -32,9 +31,8 @@ int main() {
   fastft::BaselineConfig bc;
   bc.seed = 31;
   for (const char* name : {"RFG", "AFT", "OpenFE", "GRFG"}) {
-    std::unique_ptr<fastft::Baseline> baseline =
-        fastft::MakeBaseline(name, bc);
-    fastft::BaselineResult r = baseline->Run(dataset);
+    fastft::BaselineResult r =
+        fastft::RunBaseline(name, bc, dataset).ValueOrDie();
     std::printf("%-8s F1 %.4f  (%.1fs, %lld downstream evals)\n", name,
                 r.score, r.runtime_seconds,
                 static_cast<long long>(r.downstream_evaluations));

@@ -71,15 +71,18 @@ int main() {
   std::printf("predictor recall of the crossed sequence: %.4f (actual %.4f)\n",
               predictor.Predict(tokens), score);
 
-  // 6. Export the transformed dataset.
+  // 6. Export the transformed dataset into the working directory.
   fastft::Dataset out = space.ToDataset();
   fastft::DataFrame frame = out.features;
   fastft::Status st = frame.AddColumn("label", out.labels);
   if (st.ok()) {
-    std::string path = "/tmp/fastft_custom_pipeline.csv";
+    std::string path = "fastft_custom_pipeline.csv";
     st = fastft::WriteCsvFile(frame, path);
     if (st.ok()) std::printf("wrote transformed dataset to %s\n", path.c_str());
   }
-  if (!st.ok()) std::printf("export failed: %s\n", st.ToString().c_str());
+  if (!st.ok()) {
+    std::fprintf(stderr, "export failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
   return 0;
 }

@@ -53,7 +53,7 @@ int main() {
                  program.status().ToString().c_str());
     return 1;
   }
-  const std::string path = "/tmp/fastft_regression_program.txt";
+  const std::string path = "fastft_regression_program.txt";
   fastft::Status st = program.value().SaveToFile(path);
   if (!st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());

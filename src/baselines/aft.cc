@@ -1,9 +1,14 @@
-#include "baselines/aft.h"
+// AFT (autofeat-style, Table I baseline 4): alternating expand/select loop.
+//
+// Each round expands with a random pool of operations, then selects a
+// low-redundancy, high-relevance subset (greedy mRMR-style filter), and
+// evaluates the selected dataset; the best round wins.
+
+#include "baselines/methods.h"
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/timer.h"
 #include "core/feature_space.h"
 #include "core/mutual_information.h"
 
@@ -50,51 +55,39 @@ std::vector<int> GreedyMrmr(const DataFrame& frame,
 
 }  // namespace
 
-BaselineResult AftBaseline::Run(const Dataset& dataset) {
-  WallTimer timer;
-  BaselineResult result;
-  Rng rng(config_.seed);
-  EvaluatorConfig ec = config_.evaluator;
-  ec.seed = DeriveSeed(config_.seed, 1);
-  Evaluator evaluator(ec);
-
-  result.base_score = evaluator.Evaluate(dataset);
-  result.score = result.base_score;
-  result.best_dataset = dataset;
+BaselineResult RunAft(const BaselineConfig& config, const Dataset& dataset) {
+  MethodRun run(config, dataset);
 
   FeatureSpaceConfig fs;
-  fs.max_features = std::max(3 * dataset.NumFeatures(),
-                             config_.feature_budget * 2);
+  fs.max_features = std::max(3 * dataset.NumFeatures(), kFeatureBudget * 2);
   fs.max_new_per_step = 16;
   FeatureSpace space(dataset, fs);
 
-  const int rounds = std::max(2, config_.iterations / 6);
+  const int rounds = std::max(2, config.iterations / 6);
   for (int round = 0; round < rounds; ++round) {
     // Expansion with a random operation pool.
     const int pool = 6;
     for (int p = 0; p < pool; ++p) {
-      OpType op = OpFromIndex(rng.UniformInt(kNumOperations));
-      std::vector<int> head = {rng.UniformInt(space.NumColumns())};
+      OpType op = OpFromIndex(run.rng.UniformInt(kNumOperations));
+      std::vector<int> head = {run.rng.UniformInt(space.NumColumns())};
       std::vector<int> tail;
-      if (!IsUnary(op)) tail = {rng.UniformInt(space.NumColumns())};
-      space.ApplyOperation(op, head, tail, &rng);
+      if (!IsUnary(op)) tail = {run.rng.UniformInt(space.NumColumns())};
+      space.ApplyOperation(op, head, tail, &run.rng);
     }
     // Selection + evaluation.
     Dataset expanded = space.ToDataset();
     std::vector<int> keep =
         GreedyMrmr(expanded.features, expanded.labels, expanded.task,
-                   config_.feature_budget);
+                   kFeatureBudget);
     Dataset selected =
         expanded.WithFeatures(expanded.features.SelectColumns(keep));
-    double score = evaluator.Evaluate(selected);
-    if (score > result.score) {
-      result.score = score;
-      result.best_dataset = std::move(selected);
+    double score = run.evaluator.Evaluate(selected);
+    if (score > run.result.score) {
+      run.result.score = score;
+      run.result.best_dataset = std::move(selected);
     }
   }
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.runtime_seconds = timer.Seconds();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace fastft

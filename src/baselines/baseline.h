@@ -1,4 +1,4 @@
-// Common interface for the feature-transformation baselines of Table I.
+// The feature-transformation baselines of Table I, run by name.
 //
 // Each baseline consumes a dataset and produces its best transformed dataset
 // plus bookkeeping (runtime, downstream-evaluation count) used by the
@@ -7,21 +7,22 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "data/dataset.h"
 #include "ml/evaluator.h"
 
 namespace fastft {
 
+/// Cap on the transformed feature count of the methods that grow a table.
+inline constexpr int kFeatureBudget = 48;
+
 struct BaselineConfig {
   EvaluatorConfig evaluator;
   /// Iteration budget for iterative methods.
   int iterations = 24;
-  /// Cap on the transformed feature count.
-  int feature_budget = 48;
   /// Simulated per-call LLM latency for CAAFE (seconds).
   double caafe_llm_latency = 0.25;
   uint64_t seed = 7;
@@ -35,23 +36,15 @@ struct BaselineResult {
   int64_t downstream_evaluations = 0;
 };
 
-class Baseline {
- public:
-  virtual ~Baseline() = default;
-
-  /// Runs the method; deterministic given config().seed.
-  virtual BaselineResult Run(const Dataset& dataset) = 0;
-
-  virtual const char* name() const = 0;
-};
-
-/// Names accepted by MakeBaseline, in the paper's Table I column order.
+/// Names accepted by RunBaseline, in the paper's Table I column order:
+/// RFG, ERG, LDA, AFT, NFS, TTG, DIFER, OpenFE, CAAFE, GRFG.
 const std::vector<std::string>& BaselineNames();
 
-/// Factory: "RFG", "ERG", "LDA", "AFT", "NFS", "TTG", "DIFER", "OpenFE",
-/// "CAAFE", "GRFG". Returns nullptr for unknown names.
-std::unique_ptr<Baseline> MakeBaseline(const std::string& name,
-                                       const BaselineConfig& config);
+/// Runs the named method on `dataset`; deterministic given config.seed.
+/// runtime_seconds is the wall time of the whole method. An unknown name
+/// is InvalidArgument, with the valid names in the message.
+Result<BaselineResult> RunBaseline(const std::string& name,
+                                   const BaselineConfig& config,
+                                   const Dataset& dataset);
 
 }  // namespace fastft
-

@@ -1,9 +1,16 @@
-#include "baselines/difer.h"
+// DIFER (Table I baseline 7): differentiable/embedding-space feature search.
+//
+// Collects (expression, score) pairs from random exploration, trains a
+// sequence surrogate (the shared LSTM encoder + regressor), then performs a
+// greedy search: mutate the best expressions, rank mutants by the
+// surrogate, and spend the scarce downstream evaluations only on the
+// surrogate's top picks.
+
+#include "baselines/methods.h"
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/timer.h"
 #include "core/performance_predictor.h"
 #include "core/tokenizer.h"
 
@@ -55,18 +62,9 @@ Dataset WithExpression(const Dataset& dataset, const ExprPtr& expr) {
 
 }  // namespace
 
-BaselineResult DiferBaseline::Run(const Dataset& dataset) {
-  WallTimer timer;
-  BaselineResult result;
-  Rng rng(config_.seed);
-  EvaluatorConfig ec = config_.evaluator;
-  ec.seed = DeriveSeed(config_.seed, 1);
-  Evaluator evaluator(ec);
+BaselineResult RunDifer(const BaselineConfig& config, const Dataset& dataset) {
+  MethodRun run(config, dataset);
   Tokenizer tokenizer;
-
-  result.base_score = evaluator.Evaluate(dataset);
-  result.score = result.base_score;
-  result.best_dataset = dataset;
 
   // Phase 1: random collection of (expression, score) pairs. Every
   // candidate expression is drawn before any is scored, so the rng stream
@@ -77,14 +75,14 @@ BaselineResult DiferBaseline::Run(const Dataset& dataset) {
   };
   std::vector<Scored> pool;
   std::vector<SequenceRecord> records;
-  const int collect = std::max(6, config_.iterations / 3);
+  const int collect = std::max(6, config.iterations / 3);
   std::vector<ExprPtr> drawn;
   drawn.reserve(collect);
   for (int i = 0; i < collect; ++i) {
-    drawn.push_back(RandomExpr(dataset.NumFeatures(), 3, &rng));
+    drawn.push_back(RandomExpr(dataset.NumFeatures(), 3, &run.rng));
   }
   for (const ExprPtr& expr : drawn) {
-    const double score = evaluator.Evaluate(WithExpression(dataset, expr));
+    const double score = run.evaluator.Evaluate(WithExpression(dataset, expr));
     pool.push_back({expr, score});
     records.push_back({tokenizer.EncodeExpr(expr), score});
   }
@@ -93,9 +91,9 @@ BaselineResult DiferBaseline::Run(const Dataset& dataset) {
   PredictorConfig pc;
   pc.vocab_size = tokenizer.vocab_size();
   pc.num_layers = 1;
-  pc.seed = DeriveSeed(config_.seed, 2);
+  pc.seed = DeriveSeed(config.seed, 2);
   PerformancePredictor surrogate(pc);
-  Rng train_rng(DeriveSeed(config_.seed, 3));
+  Rng train_rng(DeriveSeed(config.seed, 3));
   surrogate.Fit(records, /*epochs=*/20, &train_rng);
 
   // Phase 3: greedy search in the learned space.
@@ -112,8 +110,8 @@ BaselineResult DiferBaseline::Run(const Dataset& dataset) {
     std::vector<Ranked> mutants;
     const int parents = std::min<int>(3, static_cast<int>(pool.size()));
     for (int m = 0; m < mutants_per_round; ++m) {
-      const ExprPtr& parent = pool[rng.UniformInt(parents)].expr;
-      ExprPtr mutant = Mutate(parent, dataset.NumFeatures(), &rng);
+      const ExprPtr& parent = pool[run.rng.UniformInt(parents)].expr;
+      ExprPtr mutant = Mutate(parent, dataset.NumFeatures(), &run.rng);
       mutants.push_back(
           {mutant, surrogate.Predict(tokenizer.EncodeExpr(mutant))});
     }
@@ -126,7 +124,7 @@ BaselineResult DiferBaseline::Run(const Dataset& dataset) {
         std::min(evals_per_round, static_cast<int>(mutants.size()));
     for (int e = 0; e < evals; ++e) {
       const double score =
-          evaluator.Evaluate(WithExpression(dataset, mutants[e].expr));
+          run.evaluator.Evaluate(WithExpression(dataset, mutants[e].expr));
       pool.push_back({mutants[e].expr, score});
       records.push_back({tokenizer.EncodeExpr(mutants[e].expr), score});
     }
@@ -144,24 +142,22 @@ BaselineResult DiferBaseline::Run(const Dataset& dataset) {
   }
   const int top_k = std::min<int>(8, static_cast<int>(pool.size()));
   for (int k = 0; k < top_k; ++k) {
-    if (pool[k].score <= result.base_score) break;
+    if (pool[k].score <= run.result.base_score) break;
     std::vector<double> column = EvalExpr(pool[k].expr, originals);
     // A duplicate generated name just skips that candidate column; the
     // baseline scores whatever subset was added.
     (void)final_dataset.features.AddColumn(  // fastft-analyze: allow(discarded-status): best-effort add, duplicates skipped by design
         ExprToString(pool[k].expr), std::move(column));
   }
-  double final_score = evaluator.Evaluate(final_dataset);
-  if (final_score > result.score) {
-    result.score = final_score;
-    result.best_dataset = std::move(final_dataset);
-  } else if (!pool.empty() && pool[0].score > result.score) {
-    result.score = pool[0].score;
-    result.best_dataset = WithExpression(dataset, pool[0].expr);
+  double final_score = run.evaluator.Evaluate(final_dataset);
+  if (final_score > run.result.score) {
+    run.result.score = final_score;
+    run.result.best_dataset = std::move(final_dataset);
+  } else if (!pool.empty() && pool[0].score > run.result.score) {
+    run.result.score = pool[0].score;
+    run.result.best_dataset = WithExpression(dataset, pool[0].expr);
   }
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.runtime_seconds = timer.Seconds();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace fastft

@@ -1,28 +1,25 @@
-#include "baselines/erg.h"
+// ERG: expand-reduce generation (Table I baseline 2).
+//
+// Applies every unary operation to every feature and every binary operation
+// to a sampled set of feature pairs (one big expansion), then reduces with
+// MI-based top-k selection and evaluates the reduced dataset.
+
+#include "baselines/methods.h"
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/timer.h"
 #include "core/feature_space.h"
 #include "core/mutual_information.h"
 
 namespace fastft {
 
-BaselineResult ErgBaseline::Run(const Dataset& dataset) {
-  WallTimer timer;
-  BaselineResult result;
-  Rng rng(config_.seed);
-  EvaluatorConfig ec = config_.evaluator;
-  ec.seed = DeriveSeed(config_.seed, 1);
-  Evaluator evaluator(ec);
-
-  result.base_score = evaluator.Evaluate(dataset);
+BaselineResult RunErg(const BaselineConfig& config, const Dataset& dataset) {
+  MethodRun run(config, dataset);
 
   // Expansion: generous budget during the expand phase, trimmed afterwards.
   FeatureSpaceConfig fs;
-  fs.max_features = std::max(4 * dataset.NumFeatures(),
-                             config_.feature_budget * 2);
+  fs.max_features = std::max(4 * dataset.NumFeatures(), kFeatureBudget * 2);
   fs.max_new_per_step = 1 << 20;  // expansion is deliberately exhaustive
   FeatureSpace space(dataset, fs);
 
@@ -30,15 +27,15 @@ BaselineResult ErgBaseline::Run(const Dataset& dataset) {
   for (int c = 0; c < dataset.NumFeatures(); ++c) all[c] = c;
   // Every unary op on every original feature.
   for (int op = 0; op < kNumUnaryOperations; ++op) {
-    space.ApplyOperation(OpFromIndex(op), all, {}, &rng);
+    space.ApplyOperation(OpFromIndex(op), all, {}, &run.rng);
   }
   // Binary ops on sampled original pairs (full cross would be quadratic).
   const int pair_budget = std::min(4 * dataset.NumFeatures(), 96);
   for (int op = kNumUnaryOperations; op < kNumOperations; ++op) {
     for (int p = 0; p < pair_budget; ++p) {
-      int a = rng.UniformInt(dataset.NumFeatures());
-      int b = rng.UniformInt(dataset.NumFeatures());
-      space.ApplyOperation(OpFromIndex(op), {a}, {b}, &rng);
+      int a = run.rng.UniformInt(dataset.NumFeatures());
+      int b = run.rng.UniformInt(dataset.NumFeatures());
+      space.ApplyOperation(OpFromIndex(op), {a}, {b}, &run.rng);
     }
   }
 
@@ -46,16 +43,14 @@ BaselineResult ErgBaseline::Run(const Dataset& dataset) {
   Dataset expanded = space.ToDataset();
   std::vector<int> keep =
       TopKByRelevance(expanded.features, expanded.labels, expanded.task,
-                      std::min(config_.feature_budget, expanded.NumFeatures()));
+                      std::min(kFeatureBudget, expanded.NumFeatures()));
   Dataset reduced = expanded.WithFeatures(expanded.features.SelectColumns(keep));
 
   // ERG commits to its reduced set (it can lose information relative to the
   // originals — the behaviour the paper's Table I shows).
-  result.score = evaluator.Evaluate(reduced);
-  result.best_dataset = std::move(reduced);
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.runtime_seconds = timer.Seconds();
-  return result;
+  run.result.score = run.evaluator.Evaluate(reduced);
+  run.result.best_dataset = std::move(reduced);
+  return run.Finish();
 }
 
 }  // namespace fastft

@@ -1,11 +1,20 @@
-#include "baselines/lda.h"
+// LDA baseline (Table I baseline 3): unsupervised linear projection.
+//
+// The paper uses Latent Dirichlet Allocation as its dimensionality-reduction
+// baseline. Offline we substitute an *unsupervised* linear projection
+// (power-iteration PCA to d/4 components) — like LDA it reduces the table
+// without looking at labels, playing the same role in Table I: a reduction
+// baseline that discards interaction information. A supervised projector
+// (e.g. Fisher LDA fit on all rows) would leak labels into the
+// cross-validated evaluation, so it is deliberately avoided (DESIGN.md §4).
+
+#include "baselines/methods.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/timer.h"
 
 namespace fastft {
 namespace {
@@ -77,20 +86,15 @@ std::vector<std::vector<double>> PcaDirections(const Rows& rows, int k,
 
 }  // namespace
 
-BaselineResult LdaBaseline::Run(const Dataset& dataset) {
-  WallTimer timer;
-  BaselineResult result;
-  EvaluatorConfig ec = config_.evaluator;
-  ec.seed = DeriveSeed(config_.seed, 1);
-  Evaluator evaluator(ec);
-  result.base_score = evaluator.Evaluate(dataset);
+BaselineResult RunLda(const BaselineConfig& config, const Dataset& dataset) {
+  MethodRun run(config, dataset);
 
   Rows rows = dataset.features.ToRows();
   // Unsupervised projection only: using labels here would leak them into
   // the cross-validated evaluation.
   int k = std::max(2, dataset.NumFeatures() / 4);
   std::vector<std::vector<double>> directions =
-      PcaDirections(rows, k, DeriveSeed(config_.seed, 2));
+      PcaDirections(rows, k, DeriveSeed(config.seed, 2));
   FASTFT_CHECK(!directions.empty());
 
   DataFrame projected;
@@ -106,11 +110,9 @@ BaselineResult LdaBaseline::Run(const Dataset& dataset) {
                      .ok());
   }
   Dataset reduced = dataset.WithFeatures(std::move(projected));
-  result.score = evaluator.Evaluate(reduced);
-  result.best_dataset = std::move(reduced);
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.runtime_seconds = timer.Seconds();
-  return result;
+  run.result.score = run.evaluator.Evaluate(reduced);
+  run.result.best_dataset = std::move(reduced);
+  return run.Finish();
 }
 
 }  // namespace fastft

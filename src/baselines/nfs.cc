@@ -1,10 +1,17 @@
-#include "baselines/nfs.h"
+// NFS (Table I baseline 5): neural feature search.
+//
+// A recurrent controller emits a transformation chain per original feature
+// (operation tokens, with an explicit STOP); sampled plans are applied and
+// evaluated downstream, and the controller is trained with REINFORCE against
+// a running-mean baseline. Binary operations pair the feature with a
+// controller-sampled partner.
+
+#include "baselines/methods.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/timer.h"
 #include "core/feature_space.h"
 #include "nn/embedding.h"
 #include "nn/mlp.h"
@@ -104,27 +111,17 @@ class Controller {
 
 }  // namespace
 
-BaselineResult NfsBaseline::Run(const Dataset& dataset) {
-  WallTimer timer;
-  BaselineResult result;
-  Rng rng(config_.seed);
-  EvaluatorConfig ec = config_.evaluator;
-  ec.seed = DeriveSeed(config_.seed, 1);
-  Evaluator evaluator(ec);
+BaselineResult RunNfs(const BaselineConfig& config, const Dataset& dataset) {
+  MethodRun run(config, dataset);
 
-  result.base_score = evaluator.Evaluate(dataset);
-  result.score = result.base_score;
-  result.best_dataset = dataset;
-
-  Controller controller(dataset.NumFeatures(), DeriveSeed(config_.seed, 2));
+  Controller controller(dataset.NumFeatures(), DeriveSeed(config.seed, 2));
   double reward_baseline = 0.0;
   int reward_count = 0;
 
-  const int episodes = std::max(4, config_.iterations / 2);
+  const int episodes = std::max(4, config.iterations / 2);
   for (int episode = 0; episode < episodes; ++episode) {
     FeatureSpaceConfig fs;
-    fs.max_features =
-        std::max(config_.feature_budget, dataset.NumFeatures() + 8);
+    fs.max_features = std::max(kFeatureBudget, dataset.NumFeatures() + 8);
     FeatureSpace space(dataset, fs);
 
     std::vector<Decision> decisions;
@@ -132,16 +129,16 @@ BaselineResult NfsBaseline::Run(const Dataset& dataset) {
       int prev = kStopAction;
       int current = f;  // index of the evolving column for this chain
       for (int slot = 0; slot < kMaxChain; ++slot) {
-        int action = controller.Sample(f, slot, prev, &rng);
+        int action = controller.Sample(f, slot, prev, &run.rng);
         decisions.push_back({f, slot, prev, action});
         if (action == kStopAction) break;
         OpType op = OpFromIndex(action);
         std::vector<int> tail;
         if (!IsUnary(op)) {
-          tail = {rng.UniformInt(dataset.NumFeatures())};
+          tail = {run.rng.UniformInt(dataset.NumFeatures())};
         }
         int before = space.NumColumns();
-        int added = space.ApplyOperation(op, {current}, tail, &rng);
+        int added = space.ApplyOperation(op, {current}, tail, &run.rng);
         if (added > 0 && space.NumColumns() > before) {
           current = space.NumColumns() - 1;  // chain continues on the result
         }
@@ -149,12 +146,12 @@ BaselineResult NfsBaseline::Run(const Dataset& dataset) {
       }
     }
 
-    double score = evaluator.Evaluate(space.ToDataset());
-    if (score > result.score) {
-      result.score = score;
-      result.best_dataset = space.ToDataset();
+    double score = run.evaluator.Evaluate(space.ToDataset());
+    if (score > run.result.score) {
+      run.result.score = score;
+      run.result.best_dataset = space.ToDataset();
     }
-    double reward = score - result.base_score;
+    double reward = score - run.result.base_score;
     ++reward_count;
     reward_baseline += (reward - reward_baseline) / reward_count;
     double advantage = reward - reward_baseline;
@@ -162,9 +159,7 @@ BaselineResult NfsBaseline::Run(const Dataset& dataset) {
       controller.Update(decision, advantage);
     }
   }
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.runtime_seconds = timer.Seconds();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace fastft

@@ -1,9 +1,15 @@
-#include "baselines/openfe.h"
+// OpenFE (Table I baseline 8): feature boosting + two-stage pruning.
+//
+// Enumerates candidate features, scores them by *feature boost* — the
+// information a candidate carries about the base model's residual — on a
+// cheap data block (stage 1), then promotes the top slice and greedily
+// accepts candidates that improve the cross-validated score (stage 2).
+
+#include "baselines/methods.h"
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/timer.h"
 #include "core/expression.h"
 #include "core/mutual_information.h"
 #include "ml/random_forest.h"
@@ -19,24 +25,15 @@ struct Candidate {
 
 }  // namespace
 
-BaselineResult OpenFeBaseline::Run(const Dataset& dataset) {
-  WallTimer timer;
-  BaselineResult result;
-  Rng rng(config_.seed);
-  EvaluatorConfig ec = config_.evaluator;
-  ec.seed = DeriveSeed(config_.seed, 1);
-  Evaluator evaluator(ec);
-
-  result.base_score = evaluator.Evaluate(dataset);
-  result.score = result.base_score;
-  result.best_dataset = dataset;
+BaselineResult RunOpenFe(const BaselineConfig& config, const Dataset& dataset) {
+  MethodRun run(config, dataset);
 
   // Base model residual: what the original features fail to explain.
   ForestConfig fc;
   fc.regression = dataset.task == TaskType::kRegression;
   fc.num_trees = 8;
   fc.max_depth = 5;
-  fc.seed = DeriveSeed(config_.seed, 2);
+  fc.seed = DeriveSeed(config.seed, 2);
   RandomForest base_model(fc);
   Rows rows = dataset.features.ToRows();
   base_model.Fit(rows, dataset.labels);
@@ -72,10 +69,10 @@ BaselineResult OpenFeBaseline::Run(const Dataset& dataset) {
   }
   const int pair_budget = std::min(6 * dataset.NumFeatures(), 120);
   for (int p = 0; p < pair_budget; ++p) {
-    int a = rng.UniformInt(dataset.NumFeatures());
-    int b = rng.UniformInt(dataset.NumFeatures());
+    int a = run.rng.UniformInt(dataset.NumFeatures());
+    int b = run.rng.UniformInt(dataset.NumFeatures());
     int op = kNumUnaryOperations +
-             rng.UniformInt(kNumOperations - kNumUnaryOperations);
+             run.rng.UniformInt(kNumOperations - kNumUnaryOperations);
     Candidate cand;
     cand.expr = MakeBinary(OpFromIndex(op), MakeLeaf(a), MakeLeaf(b));
     cand.values = EvalExpr(cand.expr, originals);
@@ -85,7 +82,7 @@ BaselineResult OpenFeBaseline::Run(const Dataset& dataset) {
   // Stage 1: feature boost on a data block (row subsample).
   const int block = std::min(dataset.NumRows(), 256);
   std::vector<int> block_rows =
-      rng.SampleWithoutReplacement(dataset.NumRows(), block);
+      run.rng.SampleWithoutReplacement(dataset.NumRows(), block);
   std::vector<double> block_residual;
   block_residual.reserve(block_rows.size());
   for (int r : block_rows) block_residual.push_back(residual[r]);
@@ -106,7 +103,7 @@ BaselineResult OpenFeBaseline::Run(const Dataset& dataset) {
 
   // Stage 2: greedy acceptance under full cross-validated evaluation.
   Dataset current = dataset;
-  double current_score = result.base_score;
+  double current_score = run.result.base_score;
   const int stage2_evals = 6;
   for (int e = 0; e < stage2_evals && e < static_cast<int>(candidates.size());
        ++e) {
@@ -117,19 +114,17 @@ BaselineResult OpenFeBaseline::Run(const Dataset& dataset) {
              .ok()) {
       continue;
     }
-    double score = evaluator.Evaluate(trial);
+    double score = run.evaluator.Evaluate(trial);
     if (score > current_score) {
       current_score = score;
       current = std::move(trial);
     }
   }
-  if (current_score > result.score) {
-    result.score = current_score;
-    result.best_dataset = std::move(current);
+  if (current_score > run.result.score) {
+    run.result.score = current_score;
+    run.result.best_dataset = std::move(current);
   }
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.runtime_seconds = timer.Seconds();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace fastft

@@ -1,44 +1,37 @@
-#include "baselines/rfg.h"
+// RFG: random feature generation (Table I baseline 1).
+//
+// Each iteration applies a uniformly random operation to uniformly random
+// candidate feature(s), evaluates the resulting dataset downstream, and
+// keeps the best dataset seen.
+
+#include "baselines/methods.h"
 
 #include "common/rng.h"
-#include "common/timer.h"
 #include "core/feature_space.h"
 
 namespace fastft {
 
-BaselineResult RfgBaseline::Run(const Dataset& dataset) {
-  WallTimer timer;
-  BaselineResult result;
-  Rng rng(config_.seed);
-  EvaluatorConfig ec = config_.evaluator;
-  ec.seed = DeriveSeed(config_.seed, 1);
-  Evaluator evaluator(ec);
+BaselineResult RunRfg(const BaselineConfig& config, const Dataset& dataset) {
+  MethodRun run(config, dataset);
 
   FeatureSpaceConfig fs;
-  fs.max_features = std::max(config_.feature_budget,
-                             dataset.NumFeatures() + 8);
+  fs.max_features = std::max(kFeatureBudget, dataset.NumFeatures() + 8);
   FeatureSpace space(dataset, fs);
 
-  result.base_score = evaluator.Evaluate(dataset);
-  result.score = result.base_score;
-  result.best_dataset = dataset;
-
-  for (int it = 0; it < config_.iterations; ++it) {
-    OpType op = OpFromIndex(rng.UniformInt(kNumOperations));
-    std::vector<int> head = {rng.UniformInt(space.NumColumns())};
+  for (int it = 0; it < config.iterations; ++it) {
+    OpType op = OpFromIndex(run.rng.UniformInt(kNumOperations));
+    std::vector<int> head = {run.rng.UniformInt(space.NumColumns())};
     std::vector<int> tail;
-    if (!IsUnary(op)) tail = {rng.UniformInt(space.NumColumns())};
-    int added = space.ApplyOperation(op, head, tail, &rng);
+    if (!IsUnary(op)) tail = {run.rng.UniformInt(space.NumColumns())};
+    int added = space.ApplyOperation(op, head, tail, &run.rng);
     if (added == 0) continue;
-    double score = evaluator.Evaluate(space.ToDataset());
-    if (score > result.score) {
-      result.score = score;
-      result.best_dataset = space.ToDataset();
+    double score = run.evaluator.Evaluate(space.ToDataset());
+    if (score > run.result.score) {
+      run.result.score = score;
+      run.result.best_dataset = space.ToDataset();
     }
   }
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.runtime_seconds = timer.Seconds();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace fastft

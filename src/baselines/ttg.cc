@@ -1,11 +1,17 @@
-#include "baselines/ttg.h"
+// TTG (Table I baseline 6): transformation-graph exploration.
+//
+// Nodes are datasets; an edge applies one operation dataset-wide (unary ops
+// to every column, binary ops between sampled column pairs). A tabular
+// Q-function over (node, operation) is learned ε-greedily; each expansion
+// evaluates the child dataset downstream, and the best node wins.
+
+#include "baselines/methods.h"
 
 #include <algorithm>
 #include <map>
 #include <memory>
 
 #include "common/rng.h"
-#include "common/timer.h"
 #include "core/feature_space.h"
 
 namespace fastft {
@@ -18,43 +24,30 @@ struct GraphNode {
 
 }  // namespace
 
-BaselineResult TtgBaseline::Run(const Dataset& dataset) {
-  WallTimer timer;
-  BaselineResult result;
-  Rng rng(config_.seed);
-  EvaluatorConfig ec = config_.evaluator;
-  ec.seed = DeriveSeed(config_.seed, 1);
-  Evaluator evaluator(ec);
+BaselineResult RunTtg(const BaselineConfig& config, const Dataset& dataset) {
+  MethodRun run(config, dataset);
 
   FeatureSpaceConfig fs;
-  fs.max_features =
-      std::max(config_.feature_budget, dataset.NumFeatures() + 8);
+  fs.max_features = std::max(kFeatureBudget, dataset.NumFeatures() + 8);
   fs.max_new_per_step = 16;
 
   std::vector<GraphNode> nodes;
-  {
-    GraphNode root;
-    root.space = std::make_unique<FeatureSpace>(dataset, fs);
-    root.score = evaluator.Evaluate(dataset);
-    result.base_score = root.score;
-    result.score = root.score;
-    result.best_dataset = dataset;
-    nodes.push_back(std::move(root));
-  }
+  nodes.push_back(
+      {std::make_unique<FeatureSpace>(dataset, fs), run.result.base_score});
 
   // Tabular Q over (node, op).
   std::map<std::pair<int, int>, double> q;
   const double epsilon = 0.3;
   const double lr = 0.5;
   const double gamma = 0.9;
-  const int max_nodes = std::max(4, config_.iterations / 2);
+  const int max_nodes = std::max(4, config.iterations / 2);
 
   while (static_cast<int>(nodes.size()) < max_nodes) {
     // ε-greedy pick of (node, op).
     int node_id = 0, op_id = 0;
-    if (rng.Bernoulli(epsilon)) {
-      node_id = rng.UniformInt(static_cast<int>(nodes.size()));
-      op_id = rng.UniformInt(kNumOperations);
+    if (run.rng.Bernoulli(epsilon)) {
+      node_id = run.rng.UniformInt(static_cast<int>(nodes.size()));
+      op_id = run.rng.UniformInt(kNumOperations);
     } else {
       double best_q = -1e300;
       for (size_t n = 0; n < nodes.size(); ++n) {
@@ -78,15 +71,15 @@ BaselineResult TtgBaseline::Run(const Dataset& dataset) {
     for (int c = 0; c < child.space->NumColumns(); ++c) all[c] = c;
     int added;
     if (IsUnary(op)) {
-      added = child.space->ApplyOperation(op, all, {}, &rng);
+      added = child.space->ApplyOperation(op, all, {}, &run.rng);
     } else {
       // Binary: sampled column pairs.
       std::vector<int> head, tail;
       for (int p = 0; p < std::min(8, child.space->NumColumns()); ++p) {
-        head.push_back(rng.UniformInt(child.space->NumColumns()));
-        tail.push_back(rng.UniformInt(child.space->NumColumns()));
+        head.push_back(run.rng.UniformInt(child.space->NumColumns()));
+        tail.push_back(run.rng.UniformInt(child.space->NumColumns()));
       }
-      added = child.space->ApplyOperation(op, head, tail, &rng);
+      added = child.space->ApplyOperation(op, head, tail, &run.rng);
     }
     double parent_score = nodes[node_id].score;
     if (added == 0) {
@@ -95,12 +88,12 @@ BaselineResult TtgBaseline::Run(const Dataset& dataset) {
       value += lr * (-0.01 - value);
       continue;
     }
-    child.score = evaluator.Evaluate(child.space->ToDataset());
+    child.score = run.evaluator.Evaluate(child.space->ToDataset());
     double reward = child.score - parent_score;
 
-    if (child.score > result.score) {
-      result.score = child.score;
-      result.best_dataset = child.space->ToDataset();
+    if (child.score > run.result.score) {
+      run.result.score = child.score;
+      run.result.best_dataset = child.space->ToDataset();
     }
     int child_id = static_cast<int>(nodes.size());
     nodes.push_back(std::move(child));
@@ -115,9 +108,7 @@ BaselineResult TtgBaseline::Run(const Dataset& dataset) {
     value += lr * (reward + gamma * child_max - value);
   }
 
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.runtime_seconds = timer.Seconds();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace fastft

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "core/mutual_information.h"
 
 namespace fastft {
@@ -165,19 +166,24 @@ std::vector<std::vector<int>> ClusterFeatures(const FeatureSpace& space,
   if (d <= config.min_clusters) return clusters;
 
   // Read the FeatureSpace's cached label relevances and pairwise MI; only
-  // pairs with a column added since the last call are computed.
+  // pairs with a column added since the last call are computed. The two
+  // sub-spans split engine/cluster in a trace (no PhaseTimes bucket).
   PairwiseMi mi;
   mi.d = d;
-  mi.relevance.resize(d);
-  for (int c = 0; c < d; ++c) mi.relevance[c] = space.LabelRelevance(c);
-  mi.redundancy.assign(static_cast<size_t>(d) * d, 0.0);
-  for (int i = 0; i < d; ++i) {
-    for (int j = i + 1; j < d; ++j) {
-      const double value = space.Redundancy(i, j);
-      mi.redundancy[static_cast<size_t>(i) * d + j] = value;
-      mi.redundancy[static_cast<size_t>(j) * d + i] = value;
+  {
+    obs::TraceSpan span("cluster/mi");
+    mi.relevance.resize(d);
+    for (int c = 0; c < d; ++c) mi.relevance[c] = space.LabelRelevance(c);
+    mi.redundancy.assign(static_cast<size_t>(d) * d, 0.0);
+    for (int i = 0; i < d; ++i) {
+      for (int j = i + 1; j < d; ++j) {
+        const double value = space.Redundancy(i, j);
+        mi.redundancy[static_cast<size_t>(i) * d + j] = value;
+        mi.redundancy[static_cast<size_t>(j) * d + i] = value;
+      }
     }
   }
+  obs::TraceSpan span("cluster/merge");
   MergeClusters(&clusters, mi, config);
   return clusters;
 }

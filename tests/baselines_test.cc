@@ -31,6 +31,11 @@ Dataset SmallDataset() {
   return MakeClassification(spec);
 }
 
+BaselineResult RunNamed(const std::string& name, const BaselineConfig& cfg,
+                        const Dataset& dataset) {
+  return RunBaseline(name, cfg, dataset).ValueOrDie();
+}
+
 TEST(BaselineFactoryTest, TenNamesInPaperOrder) {
   const auto& names = BaselineNames();
   ASSERT_EQ(names.size(), 10u);
@@ -38,17 +43,21 @@ TEST(BaselineFactoryTest, TenNamesInPaperOrder) {
   EXPECT_EQ(names.back(), "GRFG");
 }
 
-TEST(BaselineFactoryTest, UnknownNameIsNull) {
-  EXPECT_EQ(MakeBaseline("NotAMethod", FastConfig()), nullptr);
+TEST(BaselineFactoryTest, UnknownNameIsInvalidArgument) {
+  const Result<BaselineResult> r =
+      RunBaseline("NotAMethod", FastConfig(), SmallDataset());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // The message lists every valid name.
+  for (const std::string& name : BaselineNames()) {
+    EXPECT_NE(r.status().message().find(name), std::string::npos) << name;
+  }
 }
 
 class BaselineParamTest : public testing::TestWithParam<std::string> {};
 
 TEST_P(BaselineParamTest, RunsOnClassification) {
-  auto baseline = MakeBaseline(GetParam(), FastConfig());
-  ASSERT_NE(baseline, nullptr);
-  EXPECT_EQ(baseline->name(), GetParam());
-  BaselineResult r = baseline->Run(SmallDataset());
+  BaselineResult r = RunNamed(GetParam(), FastConfig(), SmallDataset());
   EXPECT_GT(r.base_score, 0.0);
   EXPECT_GT(r.score, 0.0);
   EXPECT_LE(r.score, 1.0);
@@ -62,17 +71,15 @@ TEST_P(BaselineParamTest, RunsOnRegression) {
   spec.samples = 110;
   spec.features = 6;
   Dataset ds = MakeRegression(spec);
-  auto baseline = MakeBaseline(GetParam(), FastConfig(11));
-  BaselineResult r = baseline->Run(ds);
+  BaselineResult r = RunNamed(GetParam(), FastConfig(11), ds);
   EXPECT_GE(r.score, 0.0);
   EXPECT_TRUE(r.best_dataset.Validate().ok());
 }
 
 TEST_P(BaselineParamTest, DeterministicGivenSeed) {
-  auto a = MakeBaseline(GetParam(), FastConfig(42));
-  auto b = MakeBaseline(GetParam(), FastConfig(42));
   Dataset ds = SmallDataset();
-  EXPECT_DOUBLE_EQ(a->Run(ds).score, b->Run(ds).score);
+  EXPECT_DOUBLE_EQ(RunNamed(GetParam(), FastConfig(42), ds).score,
+                   RunNamed(GetParam(), FastConfig(42), ds).score);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineParamTest,
@@ -81,24 +88,20 @@ INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineParamTest,
 TEST(BaselineBehaviorTest, SearchMethodsNeverBelowBase) {
   // Methods that keep the best seen dataset can never report below base.
   for (const char* name : {"RFG", "AFT", "TTG", "OpenFE", "CAAFE", "GRFG"}) {
-    auto baseline = MakeBaseline(name, FastConfig(13));
-    BaselineResult r = baseline->Run(SmallDataset());
+    BaselineResult r = RunNamed(name, FastConfig(13), SmallDataset());
     EXPECT_GE(r.score, r.base_score) << name;
   }
 }
 
 TEST(BaselineBehaviorTest, LdaReducesDimensionality) {
-  auto baseline = MakeBaseline("LDA", FastConfig());
   Dataset ds = SmallDataset();
-  BaselineResult r = baseline->Run(ds);
+  BaselineResult r = RunNamed("LDA", FastConfig(), ds);
   EXPECT_LT(r.best_dataset.NumFeatures(), ds.NumFeatures());
 }
 
 TEST(BaselineBehaviorTest, ErgExpandsThenReduces) {
-  auto baseline = MakeBaseline("ERG", FastConfig());
-  BaselineConfig cfg = FastConfig();
-  BaselineResult r = baseline->Run(SmallDataset());
-  EXPECT_LE(r.best_dataset.NumFeatures(), cfg.feature_budget);
+  BaselineResult r = RunNamed("ERG", FastConfig(), SmallDataset());
+  EXPECT_LE(r.best_dataset.NumFeatures(), kFeatureBudget);
   EXPECT_GT(r.best_dataset.NumFeatures(), SmallDataset().NumFeatures());
 }
 
@@ -108,14 +111,13 @@ TEST(BaselineBehaviorTest, CaafeLatencyDominatesRuntime) {
   BaselineConfig fast = FastConfig();
   fast.caafe_llm_latency = 0.0;
   Dataset ds = SmallDataset();
-  double t_slow = MakeBaseline("CAAFE", slow)->Run(ds).runtime_seconds;
-  double t_fast = MakeBaseline("CAAFE", fast)->Run(ds).runtime_seconds;
+  double t_slow = RunNamed("CAAFE", slow, ds).runtime_seconds;
+  double t_fast = RunNamed("CAAFE", fast, ds).runtime_seconds;
   EXPECT_GT(t_slow, t_fast + 0.2);  // 5 calls × 0.05s
 }
 
 TEST(BaselineBehaviorTest, GrfgEvaluatesEveryGeneratingStep) {
-  auto baseline = MakeBaseline("GRFG", FastConfig());
-  BaselineResult r = baseline->Run(SmallDataset());
+  BaselineResult r = RunNamed("GRFG", FastConfig(), SmallDataset());
   // GRFG runs without evaluation components: many downstream calls.
   EXPECT_GT(r.downstream_evaluations, 5);
 }
@@ -127,7 +129,7 @@ TEST(BaselineBehaviorTest, DetectionTaskSupported) {
   spec.anomaly_rate = 0.15;
   Dataset ds = MakeDetection(spec);
   for (const char* name : {"RFG", "ERG", "OpenFE"}) {
-    BaselineResult r = MakeBaseline(name, FastConfig(17))->Run(ds);
+    BaselineResult r = RunNamed(name, FastConfig(17), ds);
     EXPECT_GT(r.score, 0.0) << name;
   }
 }
@@ -160,13 +162,13 @@ TEST(DiferGoldenBitsTest, ScoresArePinnedAtOneAndFourThreads) {
     SCOPED_TRACE("num_threads " + std::to_string(threads));
     BaselineConfig cfg = FastConfig(42);
     cfg.evaluator.num_threads = threads;
-    const BaselineResult c = MakeBaseline("DIFER", cfg)->Run(SmallDataset());
+    const BaselineResult c = RunNamed("DIFER", cfg, SmallDataset());
     EXPECT_BITS(0x3fe6cbd323989ff0, c.base_score);
     EXPECT_BITS(0x3fe79ff509ece463, c.score);
 
     cfg = FastConfig(11);
     cfg.evaluator.num_threads = threads;
-    const BaselineResult r = MakeBaseline("DIFER", cfg)->Run(regression);
+    const BaselineResult r = RunNamed("DIFER", cfg, regression);
     EXPECT_BITS(0x3fb755eef0792178, r.base_score);
     EXPECT_BITS(0x3fc4b1ecf0c1b96a, r.score);
   }
@@ -179,11 +181,6 @@ TEST(DiferGoldenBitsTest, ScoresArePinnedAtOneAndFourThreads) {
 // set at seed 11, with the evaluator's folds serial and on the pool. These
 // are the equivalence oracle for changes to how the baselines are built and
 // run: a change that moves one bit of any method's result fails here.
-
-BaselineResult RunNamed(const std::string& name, const BaselineConfig& cfg,
-                        const Dataset& dataset) {
-  return MakeBaseline(name, cfg)->Run(dataset);
-}
 
 struct Golden {
   const char* name;

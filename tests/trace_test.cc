@@ -353,7 +353,8 @@ TEST_F(TraceTest, EngineRunExportsTraceFile) {
   for (const char* subsystem :
        {"engine/run", "engine/step", "evaluator/evaluate", "evaluator/fold",
         "forest/fit_tree", "replay/add", "predictor/predict",
-        "novelty/estimate", "encode_cache/lookup"}) {
+        "novelty/estimate", "encode_cache/lookup", "cluster/mi",
+        "cluster/merge"}) {
     EXPECT_NE(json.find(subsystem), std::string::npos)
         << "trace missing subsystem span " << subsystem;
   }
